@@ -268,11 +268,21 @@ impl Briefer {
 
     /// Briefs a raw HTML page.
     ///
-    /// Each stage of the pipeline runs under a `wb-obs` span —
-    /// `brief.page` wrapping `brief.parse` → `brief.normalize` →
-    /// `brief.wordpiece` → (`brief.generate` | `brief.extract`, each
-    /// containing `brief.encode`) — so `wb report` can show where page
-    /// latency goes. Spans time; they never alter the brief.
+    /// Each stage of the pipeline runs under a `wb-obs` span, so
+    /// `wb report` can show where page latency goes:
+    ///
+    /// ```text
+    /// brief.page
+    /// ├── brief.parse
+    /// ├── brief.normalize
+    /// ├── brief.wordpiece
+    /// └── brief.infer            one per chunk; self time = brief assembly
+    ///     ├── brief.encode       the one shared encoder pass
+    ///     ├── brief.generate     beam-searched topic (first chunk only)
+    ///     └── brief.extract      greedy topic states + tag head
+    /// ```
+    ///
+    /// Spans time; they never alter the brief.
     pub fn brief_html(&self, html: &str) -> Result<Brief, BriefError> {
         let _page = wb_obs::span!("brief.page");
         let dom = {
@@ -328,27 +338,18 @@ impl Briefer {
     /// the attributes are unioned in document order. For a single chunk
     /// this is exactly the unchunked pipeline.
     pub fn brief_chunks(&self, chunks: &[Example]) -> Brief {
-        let Some(first) = chunks.first() else {
-            return Brief {
-                topic: String::new(),
-                category: None,
-                attributes: Vec::new(),
-                informative_sentences: Vec::new(),
-            };
-        };
-        let topic = {
-            let _s = wb_obs::span!("brief.generate");
-            let topic_ids = self.model.generate(first);
-            self.tokenizer.decode_ids(&topic_ids).join(" ")
-        };
-        let _extract = wb_obs::span!("brief.extract");
+        let mut topic = String::new();
         let mut category = None;
         let mut attributes: Vec<BriefAttribute> = Vec::new();
         let mut informative_sentences: Vec<usize> = Vec::new();
         let mut sentence_base = 0usize;
-        for ex in chunks {
-            let tags = self.model.predict_tags(ex);
-            for (s, e) in bio_to_spans(&tags) {
+        for (i, ex) in chunks.iter().enumerate() {
+            let _s = wb_obs::span!("brief.infer");
+            let out = self.model.infer(ex, i == 0);
+            if let Some(ids) = out.topic {
+                topic = self.tokenizer.decode_ids(&ids).join(" ");
+            }
+            for (s, e) in bio_to_spans(&out.tags) {
                 let value = self.tokenizer.decode_ids(&ex.tokens[s..e]).join(" ");
                 let name = infer_attribute_name(&self.tokenizer, ex, s);
                 // The category attribute is promoted to its own hierarchy
@@ -362,7 +363,7 @@ impl Briefer {
             }
             // Sentence flags are chunk-local; shift them to document-global
             // sentence numbers.
-            if let Some(flags) = self.model.predict_sections(ex) {
+            if let Some(flags) = out.sections {
                 informative_sentences.extend(
                     flags
                         .iter()

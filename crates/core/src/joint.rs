@@ -131,6 +131,30 @@ pub struct JointForward {
     pub hidden_g: Var,
 }
 
+/// The shared encoder pass of one example (see `JointModel::encode`).
+struct Encoded {
+    shared: Var,
+    c_e: Var,
+    c_g: Var,
+    c_e_b: Var,
+    c_g_b: Var,
+    /// Section probabilities `p = σ(z)` and the raw logits `z: [m, 1]`
+    /// (variants with a section predictor only).
+    p_probs: Option<Var>,
+    z: Option<Var>,
+}
+
+/// What one inference pass over a chunk produces ([`JointModel::infer`]).
+#[derive(Debug, PartialEq)]
+pub struct Inference {
+    /// The beam-searched topic ids (without `[EOS]`), when requested.
+    pub topic: Option<Vec<u32>>,
+    /// BIO tags, one per token.
+    pub tags: Vec<u8>,
+    /// Informative-section flags, for variants with a section predictor.
+    pub sections: Option<Vec<bool>>,
+}
+
 impl JointModel {
     /// Builds a joint model of the given variant (always on the BERTSUM
     /// embedder — Joint-WB "is built on the BERT_base model").
@@ -300,32 +324,21 @@ impl JointModel {
         w_q.forward_tanh(g, flat)
     }
 
-    /// The full forward pass. `targets` drives teacher forcing; pass the
-    /// gold `topic_target` during training. At inference use
-    /// [`JointModel::generate`] / [`JointModel::predict_tags`] instead.
-    pub fn forward(&self, g: &mut Graph, ex: &Example, targets: &[u32]) -> JointForward {
-        let cfg = &self.cfg;
+    /// The shared encoder pass every head reads (§III-C): token and
+    /// sentence representations, both Bi-LSTMs, the section predictor and
+    /// the section-dependent `C_E^b` / `C_G^b`. The dropout calls are the
+    /// identity on an inference graph.
+    fn encode(&self, g: &mut Graph, ex: &Example) -> Encoded {
         let shared = self.embedder.forward(g, &ex.tokens, &ex.sentence_of);
         let sents = sentence_reps(g, &self.embedder, shared, ex);
 
-        let tok_d = g.dropout(shared, cfg.dropout);
+        let tok_d = g.dropout(shared, self.cfg.dropout);
         let c_e = self.e_bilstm.forward(g, tok_d);
-        let sents_d = g.dropout(sents, cfg.dropout);
+        let sents_d = g.dropout(sents, self.cfg.dropout);
         let c_g = self.g_bilstm.forward(g, sents_d);
 
-        // Section predictor.
-        let (section_logits, p_probs) = if self.variant.uses_section_predictor() {
-            let z = self.section_scores(g, sents);
-            let m = g.value(z).rows();
-            let zeros = g.input(Tensor::zeros(&[m, 1]));
-            let two_class = g.concat_cols(&[zeros, z]);
-            let p = g.sigmoid(z);
-            (Some(two_class), Some(p))
-        } else {
-            (None, None)
-        };
-
-        // Section-dependent representations.
+        let z = self.variant.uses_section_predictor().then(|| self.section_scores(g, sents));
+        let p_probs = z.map(|z| g.sigmoid(z));
         let c_e_b = match (&self.sec_e, p_probs) {
             (Some(sec_e), Some(p)) => {
                 let col = self.token_section_column(g, p, ex);
@@ -341,11 +354,24 @@ impl JointModel {
             }
             _ => c_g,
         };
+        Encoded { shared, c_e, c_g, c_e_b, c_g_b, p_probs, z }
+    }
 
-        // First decode pass over the (section-aware) generator memory.
-        let (g_logits_first, q) = self.decoder.teacher_forced_with_states(g, targets, c_g_b);
+    /// An inference graph over `ex` with its encoder pass recorded under
+    /// the `brief.encode` span.
+    fn encode_chunk(&self, ex: &Example) -> (Graph<'_>, Encoded) {
+        let mut g = Graph::new(&self.params, false, 0);
+        let enc = {
+            let _s = wb_obs::span!("brief.encode");
+            self.encode(&mut g, ex)
+        };
+        (g, enc)
+    }
 
-        // Extractor features.
+    /// BIO logits `[T, 3]` from the extractor features, given the decoder
+    /// states `q` that carry the topic signal.
+    fn extractor_logits(&self, g: &mut Graph, enc: &Encoded, q: Var, ex: &Example) -> Var {
+        let c_e = enc.c_e;
         let e_feats = match self.variant {
             JointVariant::NaiveJoin => c_e,
             JointVariant::ConExtractor => {
@@ -369,7 +395,7 @@ impl JointModel {
                 let alpha = g.sigmoid(scores);
                 let gated = g.mul_col_broadcast(c_e, alpha);
                 let x1 = g.concat_cols(&[c_e, gated]);
-                let p = p_probs.expect("PipBoth has a section predictor");
+                let p = enc.p_probs.expect("PipBoth has a section predictor");
                 let p_tok = self.token_section_column(g, p, ex);
                 let sec_scaled = g.mul_col_broadcast(x1, p_tok);
                 g.add(x1, sec_scaled)
@@ -378,79 +404,62 @@ impl JointModel {
                 // Gate-style dual-aware token representations (eqs. 14–17).
                 let q_b = self.topic_integration(g, q);
                 let w_ae = g.param(self.w_ae.expect("gate extractor has w_ae"));
-                let hw = g.matmul(c_e_b, w_ae);
+                let hw = g.matmul(enc.c_e_b, w_ae);
                 let scores = g.matmul_nt(hw, q_b);
                 let alpha = g.sigmoid(scores);
-                let gated = g.mul_col_broadcast(c_e_b, alpha);
+                let gated = g.mul_col_broadcast(enc.c_e_b, alpha);
                 g.concat_cols(&[c_e, gated])
             }
         };
-        let e_feats = g.dropout(e_feats, cfg.dropout);
-        let e_logits = self.e_head.forward(g, e_feats);
+        let e_feats = g.dropout(e_feats, self.cfg.dropout);
+        self.e_head.forward(g, e_feats)
+    }
 
+    /// The full forward pass. `targets` drives teacher forcing; pass the
+    /// gold `topic_target` during training. At inference use
+    /// [`JointModel::infer`] instead.
+    pub fn forward(&self, g: &mut Graph, ex: &Example, targets: &[u32]) -> JointForward {
+        let enc = self.encode(g, ex);
+        let section_logits = enc.z.map(|z| {
+            let m = g.value(z).rows();
+            let zeros = g.input(Tensor::zeros(&[m, 1]));
+            g.concat_cols(&[zeros, z])
+        });
+        // First decode pass over the (section-aware) generator memory.
+        let (g_logits_first, q) =
+            self.decoder.teacher_forced_with_states(g, targets, enc.c_g_b);
+        let e_logits = self.extractor_logits(g, &enc, q, ex);
         // Generator output (second, dual-aware decode when applicable).
         let g_logits = if self.variant.attr_aware_generator() {
-            let base = if self.variant == JointVariant::PipBoth { c_g } else { c_g_b };
-            let mem2 = self.attr_aware_memory(g, c_e, c_g, base, p_probs);
-            self.decoder.teacher_forced(g, targets, mem2)
+            let memory = self.generation_memory(g, &enc);
+            self.decoder.teacher_forced(g, targets, memory)
         } else {
             g_logits_first
         };
-
         JointForward {
             e_logits,
             g_logits,
             section_logits,
-            shared,
-            hidden_e: c_e,
-            hidden_g: c_g,
+            shared: enc.shared,
+            hidden_e: enc.c_e,
+            hidden_g: enc.c_g,
         }
     }
 
-    /// Inference memory for generation: replays the forward pass with a
-    /// greedy first decode instead of teacher forcing, returning the final
-    /// decoder memory.
-    fn inference_memory(&self, g: &mut Graph, ex: &Example) -> Var {
-        let shared = {
-            let _s = wb_obs::span!("brief.encode");
-            self.embedder.forward(g, &ex.tokens, &ex.sentence_of)
-        };
-        let sents = sentence_reps(g, &self.embedder, shared, ex);
-        let c_e = self.e_bilstm.forward(g, shared);
-        let c_g = self.g_bilstm.forward(g, sents);
-        let p_probs = self.variant.uses_section_predictor().then(|| {
-            let z = self.section_scores(g, sents);
-            g.sigmoid(z)
-        });
-        let c_g_b = match (&self.sec_g, p_probs) {
-            (Some(sec_g), Some(p)) => {
-                let cat = g.concat_cols(&[c_g, p]);
-                sec_g.forward_tanh(g, cat)
-            }
-            _ => c_g,
-        };
+    /// The memory the topic is decoded from: `C_G^b`, or for
+    /// key-attributes-aware generators (eqs. 18–19) an attribute-relevance
+    /// gate over the section-aware memory added residually to `C_G`; the
+    /// pipeline variant gates `C_G` instead and then re-weights by the
+    /// section probabilities as a separate sequential step.
+    fn generation_memory(&self, g: &mut Graph, enc: &Encoded) -> Var {
         if !self.variant.attr_aware_generator() {
-            return c_g_b;
+            return enc.c_g_b;
         }
-        let base = if self.variant == JointVariant::PipBoth { c_g } else { c_g_b };
-        self.attr_aware_memory(g, c_e, c_g, base, p_probs)
-    }
-
-    /// The key-attributes-aware decoder memory (eqs. 18–19): an
-    /// attribute-relevance gate over `base` added residually to `C_G`; the
-    /// pipeline variant then re-weights by the section probabilities as a
-    /// separate sequential step.
-    fn attr_aware_memory(
-        &self,
-        g: &mut Graph,
-        c_e: Var,
-        c_g: Var,
-        base: Var,
-        p_probs: Option<Var>,
-    ) -> Var {
+        let pip = self.variant == JointVariant::PipBoth;
+        let base = if pip { enc.c_g } else { enc.c_g_b };
         let w_e = self.w_e.as_ref().expect("attr-aware generator has w_e");
         let w_eg = self.w_eg.as_ref().expect("attr-aware generator has w_eg");
-        let mean_e = g.mean_rows(c_e);
+        let mean_e = g.mean_rows(enc.c_e);
         let e_b = w_e.forward_tanh(g, mean_e);
         let e_proj = w_eg.forward_tanh(g, e_b);
         let mixed = g.mul_row_broadcast(base, e_proj);
@@ -460,9 +469,9 @@ impl JointModel {
         let gated = g.mul_col_broadcast(base, alpha_g);
         // Residual combination keeps the magnitude diversity the decoder
         // attention needs.
-        let mem1 = g.add(c_g, gated);
-        if self.variant == JointVariant::PipBoth {
-            let p = p_probs.expect("PipBoth has a section predictor");
+        let mem1 = g.add(enc.c_g, gated);
+        if pip {
+            let p = enc.p_probs.expect("PipBoth has a section predictor");
             let sec_scaled = g.mul_col_broadcast(mem1, p);
             g.add(mem1, sec_scaled)
         } else {
@@ -470,97 +479,61 @@ impl JointModel {
         }
     }
 
-    /// Predicted BIO tags. Uses a greedy first decode to build the topic
-    /// signal the extractor attends to.
-    pub fn predict_tags(&self, ex: &Example) -> Vec<u8> {
-        let mut g = Graph::new(&self.params, false, 0);
-        // Greedy first pass supplies the topic states at inference.
-        let shared = {
-            let _s = wb_obs::span!("brief.encode");
-            self.embedder.forward(&mut g, &ex.tokens, &ex.sentence_of)
-        };
-        let sents = sentence_reps(&mut g, &self.embedder, shared, ex);
-        let c_e = self.e_bilstm.forward(&mut g, shared);
-        let c_g = self.g_bilstm.forward(&mut g, sents);
-        let p_probs = self.variant.uses_section_predictor().then(|| {
-            let z = self.section_scores(&mut g, sents);
-            g.sigmoid(z)
-        });
-        let c_e_b = match (&self.sec_e, p_probs) {
-            (Some(sec_e), Some(p)) => {
-                let col = self.token_section_column(&mut g, p, ex);
-                let cat = g.concat_cols(&[c_e, col]);
-                sec_e.forward_tanh(&mut g, cat)
-            }
-            _ => c_e,
-        };
-        let c_g_b = match (&self.sec_g, p_probs) {
-            (Some(sec_g), Some(p)) => {
-                let cat = g.concat_cols(&[c_g, p]);
-                sec_g.forward_tanh(&mut g, cat)
-            }
-            _ => c_g,
-        };
-        let (_, q) = self.decoder.greedy_with_states(&mut g, c_g_b, self.cfg.max_topic_len);
-        let e_feats = match self.variant {
-            JointVariant::NaiveJoin => c_e,
-            JointVariant::ConExtractor => {
-                let n = g.value(q).rows();
-                let last = g.slice_rows(q, n - 1, n);
-                let rep = g.gather_rows(last, &vec![0; ex.tokens.len()]);
-                g.concat_cols(&[c_e, rep])
-            }
-            JointVariant::AveExtractor => {
-                let mean = g.mean_rows(q);
-                let rep = g.gather_rows(mean, &vec![0; ex.tokens.len()]);
-                g.concat_cols(&[c_e, rep])
-            }
-            JointVariant::PipBoth => {
-                let q_b = self.topic_integration(&mut g, q);
-                let w_ae = g.param(self.w_ae.expect("gate extractor has w_ae"));
-                let hw = g.matmul(c_e, w_ae);
-                let scores = g.matmul_nt(hw, q_b);
-                let alpha = g.sigmoid(scores);
-                let gated = g.mul_col_broadcast(c_e, alpha);
-                let x1 = g.concat_cols(&[c_e, gated]);
-                let p = p_probs.expect("PipBoth has a section predictor");
-                let p_tok = self.token_section_column(&mut g, p, ex);
-                let sec_scaled = g.mul_col_broadcast(x1, p_tok);
-                g.add(x1, sec_scaled)
-            }
-            _ => {
-                let q_b = self.topic_integration(&mut g, q);
-                let w_ae = g.param(self.w_ae.expect("gate extractor has w_ae"));
-                let hw = g.matmul(c_e_b, w_ae);
-                let scores = g.matmul_nt(hw, q_b);
-                let alpha = g.sigmoid(scores);
-                let gated = g.mul_col_broadcast(c_e_b, alpha);
-                g.concat_cols(&[c_e, gated])
-            }
-        };
-        let logits = self.e_head.forward(&mut g, e_feats);
+    /// The beam-searched topic phrase off an encoded chunk.
+    fn beam_topic(&self, g: &mut Graph, enc: &Encoded) -> Vec<u32> {
+        let memory = self.generation_memory(g, enc);
+        self.decoder.beam_search(g, memory, self.cfg.beam, self.cfg.max_topic_len)
+    }
+
+    /// BIO tags off an encoded chunk: a greedy first decode supplies the
+    /// topic states the extractor attends to.
+    fn tags(&self, g: &mut Graph, enc: &Encoded, ex: &Example) -> Vec<u8> {
+        let (_, q) = self.decoder.greedy_with_states(g, enc.c_g_b, self.cfg.max_topic_len);
+        let logits = self.extractor_logits(g, enc, q, ex);
         g.value(logits).argmax_rows().iter().map(|&t| t as u8).collect()
+    }
+
+    /// Informative-section flags off an encoded chunk (`z ≥ 0 ⇔ p ≥ ½`).
+    fn sections(g: &Graph, enc: &Encoded) -> Option<Vec<bool>> {
+        enc.z.map(|z| g.value(z).data().iter().map(|&v| v >= 0.0).collect())
+    }
+
+    /// One inference pass over a chunk serving all three heads: a single
+    /// encoder pass, then the beam-searched topic (only when `with_topic`),
+    /// the BIO tags and the informative-section flags. Each result is
+    /// identical to the matching [`JointModel::generate`] /
+    /// [`JointModel::predict_tags`] / [`JointModel::predict_sections`]
+    /// call.
+    pub fn infer(&self, ex: &Example, with_topic: bool) -> Inference {
+        let (mut g, enc) = self.encode_chunk(ex);
+        let topic = with_topic.then(|| {
+            let _s = wb_obs::span!("brief.generate");
+            self.beam_topic(&mut g, &enc)
+        });
+        let _s = wb_obs::span!("brief.extract");
+        let tags = self.tags(&mut g, &enc, ex);
+        Inference { topic, tags, sections: Self::sections(&g, &enc) }
+    }
+
+    /// Predicted BIO tags.
+    pub fn predict_tags(&self, ex: &Example) -> Vec<u8> {
+        let (mut g, enc) = self.encode_chunk(ex);
+        self.tags(&mut g, &enc, ex)
     }
 
     /// Generates the topic phrase with beam search.
     pub fn generate(&self, ex: &Example) -> Vec<u32> {
-        let mut g = Graph::new(&self.params, false, 0);
-        let memory = self.inference_memory(&mut g, ex);
-        self.decoder.beam_search(&mut g, memory, self.cfg.beam, self.cfg.max_topic_len)
+        let (mut g, enc) = self.encode_chunk(ex);
+        self.beam_topic(&mut g, &enc)
     }
 
     /// Predicted informative-section flags (only for variants with `P`).
     pub fn predict_sections(&self, ex: &Example) -> Option<Vec<bool>> {
-        self.variant.uses_section_predictor().then(|| {
-            let mut g = Graph::new(&self.params, false, 0);
-            let shared = {
-                let _s = wb_obs::span!("brief.encode");
-                self.embedder.forward(&mut g, &ex.tokens, &ex.sentence_of)
-            };
-            let sents = sentence_reps(&mut g, &self.embedder, shared, ex);
-            let z = self.section_scores(&mut g, sents);
-            g.value(z).data().iter().map(|&v| v >= 0.0).collect()
-        })
+        if !self.variant.uses_section_predictor() {
+            return None;
+        }
+        let (g, enc) = self.encode_chunk(ex);
+        Self::sections(&g, &enc)
     }
 }
 
@@ -654,10 +627,15 @@ mod tests {
             assert_eq!(tags.len(), ex.tokens.len(), "{v:?}");
             let topic = m.generate(ex);
             assert!(topic.len() <= cfg.max_topic_len, "{v:?}");
-            assert_eq!(m.predict_sections(ex).is_some(), v.uses_section_predictor(), "{v:?}");
-            if let Some(s) = m.predict_sections(ex) {
+            let sections = m.predict_sections(ex);
+            assert_eq!(sections.is_some(), v.uses_section_predictor(), "{v:?}");
+            if let Some(s) = &sections {
                 assert_eq!(s.len(), ex.informative.len(), "{v:?}");
             }
+            // The one-pass inference agrees with the three projections.
+            let shared = m.infer(ex, true);
+            assert_eq!(shared, Inference { topic: Some(topic), tags, sections }, "{v:?}");
+            assert_eq!(m.infer(ex, false).topic, None, "{v:?}");
         }
     }
 

@@ -48,7 +48,7 @@ pub use distill::{
 pub use early_stop::{eval_loss, train_with_dev, EarlyStopConfig, EarlyStopStats};
 pub use extractor::{Extractor, ExtractorPriors};
 pub use generator::Generator;
-pub use joint::{JointForward, JointModel, JointVariant};
+pub use joint::{Inference, JointForward, JointModel, JointVariant};
 pub use multilevel::{attr_level, split_bio_levels, MultiLevelForward, MultiLevelWb};
 pub use pipeline::{crawl_brief, PipelineConfig, PipelineError, PipelineReport};
 pub use pretrain::{

@@ -5,7 +5,9 @@
 //! returns per-parameter [`Gradients`]. Because graphs only *borrow* the
 //! parameters, many graphs (one per training example) can run concurrently
 //! and their gradients summed — this is how the trainers in `wb-core`
-//! parallelise minibatches.
+//! parallelise minibatches. Parameter leaves are borrowed too: a
+//! [`Graph::param`] node holds no copy of its tensor, and
+//! [`Graph::value`] reads it straight from the store.
 
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;
@@ -22,7 +24,8 @@ pub struct Var(usize);
 enum Op {
     /// Constant input; no gradient flows past it.
     Input,
-    /// Leaf referencing a parameter in the external store.
+    /// Leaf referencing a parameter in the external store; its value is
+    /// read from the store, never copied onto the tape.
     Param(ParamId),
     Add(Var, Var),
     /// Adds a rank-1 bias to every row of a rank-2 tensor.
@@ -102,7 +105,8 @@ enum Op {
 }
 
 struct Node {
-    value: Tensor,
+    /// The forward value; `None` only for [`Op::Param`] leaves.
+    value: Option<Tensor>,
     op: Op,
 }
 
@@ -178,7 +182,7 @@ impl Gradients {
 pub struct Graph<'p> {
     params: &'p Params,
     nodes: Vec<Node>,
-    /// Bytes held by node values (tapes only grow until dropped).
+    /// Bytes held by owned node values (tapes only grow until dropped).
     tape_bytes: usize,
     train: bool,
     rng: StdRng,
@@ -190,12 +194,13 @@ impl Drop for Graph<'_> {
     /// reuses this tape's memory instead of re-allocating. The tape's
     /// final size feeds the `tensor.graph.tape_bytes.peak` /
     /// `tensor.graph.nodes.peak` high-watermark gauges — the largest
-    /// single tape the process ever materialised.
+    /// single tape the process ever materialised (parameters excluded: the
+    /// tape only borrows them).
     fn drop(&mut self) {
         wb_obs::gauge_max!("tensor.graph.tape_bytes.peak", self.tape_bytes as f64);
         wb_obs::gauge_max!("tensor.graph.nodes.peak", self.nodes.len() as f64);
-        for node in self.nodes.drain(..) {
-            crate::tensor::scratch::put(node.value.into_data());
+        for value in self.nodes.drain(..).filter_map(|node| node.value) {
+            crate::tensor::scratch::put(value.into_data());
         }
     }
 }
@@ -218,9 +223,14 @@ impl<'p> Graph<'p> {
         self.train
     }
 
-    /// The value of a node.
+    /// The value of a node; for a parameter leaf, the store's own tensor.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        let node = &self.nodes[v.0];
+        match (&node.value, &node.op) {
+            (Some(t), _) => t,
+            (None, Op::Param(id)) => self.params.get(*id),
+            (None, _) => unreachable!("only parameter leaves borrow their value"),
+        }
     }
 
     /// Number of nodes recorded so far.
@@ -235,11 +245,12 @@ impl<'p> Graph<'p> {
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
         self.tape_bytes += value.len() * std::mem::size_of::<f32>();
-        self.nodes.push(Node { value, op });
+        self.nodes.push(Node { value: Some(value), op });
         Var(self.nodes.len() - 1)
     }
 
-    /// Bytes held by the tape's node values so far.
+    /// Bytes held by the tape's owned node values so far (parameter leaves
+    /// add nothing).
     pub fn tape_bytes(&self) -> usize {
         self.tape_bytes
     }
@@ -249,9 +260,10 @@ impl<'p> Graph<'p> {
         self.push(t, Op::Input)
     }
 
-    /// Records a parameter leaf.
+    /// Records a parameter leaf that borrows its value from the store.
     pub fn param(&mut self, id: ParamId) -> Var {
-        self.push(self.params.get(id).clone(), Op::Param(id))
+        self.nodes.push(Node { value: None, op: Op::Param(id) });
+        Var(self.nodes.len() - 1)
     }
 
     /// Element-wise sum.
@@ -539,6 +551,8 @@ impl<'p> Graph<'p> {
                 None => continue,
             };
             let node = &self.nodes[i];
+            // This node's forward value.
+            let y = self.value(Var(i));
             match &node.op {
                 Op::Input => {}
                 Op::Param(id) => match &mut out.by_param[id.index()] {
@@ -635,7 +649,6 @@ impl<'p> Graph<'p> {
                     // then dA = dS B and dB = dSᵀ A. Only `y` (the softmax
                     // output, this node's value) is needed — the score matrix
                     // never has to be rebuilt.
-                    let y = &node.value;
                     let c = y.cols();
                     let mut ds = Tensor::zeros(y.shape());
                     for ((grow, yrow), drow) in g
@@ -707,23 +720,19 @@ impl<'p> Graph<'p> {
                     accumulate(&mut grads, *src, &gs);
                 }
                 Op::Tanh(a) => {
-                    let y = &node.value;
                     let ga = g.zip_map(y, |gx, yx| gx * (1.0 - yx * yx));
                     accumulate(&mut grads, *a, &ga);
                 }
                 Op::Sigmoid(a) => {
-                    let y = &node.value;
                     let ga = g.zip_map(y, |gx, yx| gx * yx * (1.0 - yx));
                     accumulate(&mut grads, *a, &ga);
                 }
                 Op::Relu(a) => {
-                    let y = &node.value;
                     let ga = g.zip_map(y, |gx, yx| if yx > 0.0 { gx } else { 0.0 });
                     accumulate(&mut grads, *a, &ga);
                 }
                 Op::SoftmaxRows { src, temperature } => {
                     // dx = (g − Σ g·y) · y / T, per row.
-                    let y = &node.value;
                     let c = y.cols();
                     let mut ga = Tensor::zeros(y.shape());
                     for ((grow, yrow), garow) in g
@@ -740,8 +749,7 @@ impl<'p> Graph<'p> {
                     accumulate(&mut grads, *src, &ga);
                 }
                 Op::LogSoftmaxRows { src, temperature } => {
-                    // dx = (g − softmax(x)·Σg) / T, per row.
-                    let y = &node.value; // log-probs
+                    // dx = (g − softmax(x)·Σg) / T, per row; `y` is log-probs.
                     let c = y.cols();
                     let mut ga = Tensor::zeros(y.shape());
                     for ((grow, yrow), garow) in g
@@ -856,7 +864,8 @@ impl<'p> Graph<'p> {
 pub struct GraphStats {
     /// Total nodes on the tape.
     pub nodes: usize,
-    /// Total scalar elements stored across node values.
+    /// Total scalar elements across node values, counting the store
+    /// tensors that parameter leaves borrow.
     pub elements: usize,
     /// Approximate forward multiply-accumulate count (matmul ops only).
     pub matmul_flops: usize,
@@ -868,8 +877,8 @@ impl Graph<'_> {
     /// Computes tape statistics.
     pub fn stats(&self) -> GraphStats {
         let mut stats = GraphStats { nodes: self.nodes.len(), ..GraphStats::default() };
-        for node in &self.nodes {
-            stats.elements += node.value.len();
+        for (i, node) in self.nodes.iter().enumerate() {
+            stats.elements += self.value(Var(i)).len();
             let name = op_name(&node.op);
             *stats.per_op.entry(name).or_insert(0) += 1;
             match &node.op {
@@ -878,7 +887,7 @@ impl Graph<'_> {
                     // which has the score matrix's [m, n] shape — the same
                     // m·n·k MAC count as the matmul it absorbed.
                     let inner = self.value(*a).cols();
-                    stats.matmul_flops += node.value.len() * inner;
+                    stats.matmul_flops += self.value(Var(i)).len() * inner;
                     let _ = b;
                 }
                 _ => {}

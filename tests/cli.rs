@@ -295,6 +295,78 @@ fn trace_export_is_thread_count_invariant() {
     }
 }
 
+/// Every chunk of a page runs exactly one encoder pass, shared by the
+/// topic, tag and section heads.
+#[test]
+fn brief_runs_one_encoder_pass_per_chunk() {
+    let model = std::env::temp_dir().join("wb_cli_enc_model.json");
+    let page = std::env::temp_dir().join("wb_cli_enc_page.html");
+    let metrics = std::env::temp_dir().join("wb_cli_enc_metrics.json");
+    let _ = std::fs::remove_file(&model);
+    let _ = std::fs::remove_file(&metrics);
+    let out = wb()
+        .args([
+            "train",
+            "--out",
+            model.to_str().unwrap(),
+            "--epochs",
+            "1",
+            "--subjects",
+            "1",
+            "--pages",
+            "2",
+        ])
+        .output()
+        .expect("run wb train");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // ~80 sentences of ~10 tokens: several 192-token sub-documents.
+    let body: String = (0..80)
+        .map(|i| format!("<p>great velcro books {i} , price : $ {i}.99 .</p>"))
+        .collect();
+    std::fs::write(&page, format!("<html><body><section>{body}</section></body></html>"))
+        .unwrap();
+
+    let out = wb()
+        .args([
+            "brief",
+            "--model",
+            model.to_str().unwrap(),
+            "--json",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+            page.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run wb brief --metrics-out");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let text = std::fs::read_to_string(&metrics).expect("metrics file written");
+    let v: serde_json::Value = serde_json::from_str(&text).expect("metrics are valid JSON");
+    let chunks = v
+        .get("counters")
+        .and_then(|c| c.get("brief.chunks"))
+        .and_then(|n| n.as_f64())
+        .expect("brief.chunks counter");
+    assert!(chunks >= 2.0, "the page must split into several chunks, got {chunks}");
+    let Some(serde_json::Value::Obj(spans)) = v.get("spans") else {
+        panic!("no spans object: {text}");
+    };
+    let count = |leaf: &str| -> f64 {
+        spans
+            .iter()
+            .filter(|(path, _)| path.rsplit('/').next() == Some(leaf))
+            .filter_map(|(_, s)| s.get("count").and_then(|n| n.as_f64()))
+            .sum()
+    };
+    assert_eq!(count("brief.encode"), chunks, "one encoder pass per chunk: {text}");
+    assert_eq!(count("brief.infer"), chunks, "{text}");
+    assert_eq!(count("brief.generate"), 1.0, "the topic is decoded from the first chunk only");
+
+    let _ = std::fs::remove_file(model);
+    let _ = std::fs::remove_file(page);
+    let _ = std::fs::remove_file(metrics);
+}
+
 #[test]
 fn bench_quick_writes_report_and_gates_regressions() {
     let report = std::env::temp_dir().join("wb_cli_bench.json");
