@@ -878,7 +878,8 @@ impl Graph<'_> {
     pub fn stats(&self) -> GraphStats {
         let mut stats = GraphStats { nodes: self.nodes.len(), ..GraphStats::default() };
         for (i, node) in self.nodes.iter().enumerate() {
-            stats.elements += self.value(Var(i)).len();
+            let value = self.value(Var(i));
+            stats.elements += value.len();
             let name = op_name(&node.op);
             *stats.per_op.entry(name).or_insert(0) += 1;
             match &node.op {
@@ -887,7 +888,7 @@ impl Graph<'_> {
                     // which has the score matrix's [m, n] shape — the same
                     // m·n·k MAC count as the matmul it absorbed.
                     let inner = self.value(*a).cols();
-                    stats.matmul_flops += self.value(Var(i)).len() * inner;
+                    stats.matmul_flops += value.len() * inner;
                     let _ = b;
                 }
                 _ => {}
