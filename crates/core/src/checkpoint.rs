@@ -305,6 +305,25 @@ mod tests {
     }
 
     #[test]
+    fn rank_three_tensor_yields_clean_load_error() {
+        let d = tiny();
+        let mc = ModelConfig::scaled(d.tokenizer.vocab().len());
+        let m = JointModel::new(JointVariant::JointWb, mc, 5);
+        let path = std::env::temp_dir().join("wb_ckpt_rank3.json");
+        m.checkpoint().save(&path).unwrap();
+        // Prepend a unit axis to the first tensor: same element count, rank 3.
+        let full = std::fs::read_to_string(&path).unwrap();
+        assert!(full.contains("\"shape\":["), "unexpected checkpoint layout");
+        std::fs::write(&path, full.replacen("\"shape\":[", "\"shape\":[1,", 1)).unwrap();
+        let err = match Checkpoint::load(&path) {
+            Ok(_) => panic!("a rank-3 tensor must not load"),
+            Err(e) => e,
+        };
+        assert!(err.to_string().contains("rank 3"), "load must name the bad rank: {err}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
     fn save_is_atomic_and_leaves_no_staging_file() {
         let d = tiny();
         let mc = ModelConfig::scaled(d.tokenizer.vocab().len());
@@ -355,6 +374,9 @@ mod tests {
         let d = tiny();
         let mc = ModelConfig::scaled(d.tokenizer.vocab().len());
         let m = JointModel::new(JointVariant::JointWb, mc, 5);
+        // A fault armed by `transient_write_failure_is_retried` would
+        // replace the path error with the injected one.
+        let _guard = wb_chaos::test_lock();
         let err = match m.checkpoint().save("/") {
             Ok(()) => panic!("no file name to save to"),
             Err(e) => e,

@@ -146,11 +146,20 @@ unsafe impl GlobalAlloc for Counting {
 mod tests {
     use super::*;
 
+    // Both tests flip the process-global `TRACKING` flag: run in parallel,
+    // one could count (or stop counting) inside the other's window.
+    static TRACKING_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_tracking() -> std::sync::MutexGuard<'static, ()> {
+        TRACKING_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     // The test binary does not install `Counting` as the global
     // allocator (that is the `wb` binary's job), so exercise the
     // GlobalAlloc impl directly.
     #[test]
     fn counts_only_while_tracking() {
+        let _serial = lock_tracking();
         let a = Counting;
         let layout = Layout::from_size_align(64, 8).unwrap();
         let (b0, c0) = thread_totals();
@@ -179,6 +188,7 @@ mod tests {
 
     #[test]
     fn totals_are_per_thread() {
+        let _serial = lock_tracking();
         set_tracking(true);
         let a = Counting;
         let layout = Layout::from_size_align(32, 8).unwrap();

@@ -10,7 +10,7 @@
 //! [`Graph::value`] reads it straight from the store.
 
 use crate::params::{ParamId, Params};
-use crate::tensor::Tensor;
+use crate::tensor::{scratch, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -189,9 +189,10 @@ pub struct Graph<'p> {
 }
 
 impl Drop for Graph<'_> {
-    /// Returns every node buffer to the [`crate::tensor::scratch`] pool,
-    /// so the next tape (the trainer builds one per example per step)
-    /// reuses this tape's memory instead of re-allocating. The tape's
+    /// Returns every node buffer to this thread's [`scratch`] pool, so
+    /// the next tape (the trainer builds one per example per step) reuses
+    /// this tape's memory instead of re-allocating, then publishes the
+    /// pool's metrics. The tape's
     /// final size feeds the `tensor.graph.tape_bytes.peak` /
     /// `tensor.graph.nodes.peak` high-watermark gauges — the largest
     /// single tape the process ever materialised (parameters excluded: the
@@ -200,8 +201,9 @@ impl Drop for Graph<'_> {
         wb_obs::gauge_max!("tensor.graph.tape_bytes.peak", self.tape_bytes as f64);
         wb_obs::gauge_max!("tensor.graph.nodes.peak", self.nodes.len() as f64);
         for value in self.nodes.drain(..).filter_map(|node| node.value) {
-            crate::tensor::scratch::put(value.into_data());
+            scratch::put(value.into_data());
         }
+        scratch::publish();
     }
 }
 

@@ -37,8 +37,8 @@
 //! * `tensor.matmul.kernel.tiles` — microkernel invocations. Tile counts
 //!   depend on how rows were chunked across threads, so this one is
 //!   observability-only (never a hard bench metric).
-//! * `tensor.matmul.kernel.direct` — calls that took the small-product
-//!   direct path instead of packing.
+//! * `tensor.matmul.kernel.direct` — calls that took the direct path
+//!   (small or one-row products) instead of packing.
 
 use crate::tensor::scratch;
 
@@ -56,8 +56,10 @@ pub const KC: usize = 128;
 pub const NC: usize = 128;
 
 /// Minimum multiply-accumulates (`m·k·n`) before a call pays for packing;
-/// below this the direct per-variant loops win (e.g. the `[1, k] @ [k, n]ᵀ`
-/// products of single-step attention decoding).
+/// below this the direct per-variant loops win. One-row products
+/// (`m == 1`, e.g. the per-step output projection of beam decoding) take
+/// the direct loops at any size: packing would copy all of `B` to use
+/// each element once.
 pub const PACK_MIN_MACS: usize = 1 << 13;
 
 /// Packs `b` (logical `[k, n]`, stored `[k, n]` or transposed `[n, k]`)

@@ -19,8 +19,8 @@
 //! Large matmuls, softmaxes and element-wise maps run on the rayon pool
 //! once they cross the [`PAR_MIN_ROWS`]/[`PAR_MIN_MACS`]/[`PAR_MIN_ELEMS`]
 //! thresholds; results are bit-identical to the serial path at any thread
-//! count. Temporary buffers come from the [`scratch`] pool, refilled when
-//! tapes drop.
+//! count. Temporary buffers come from the per-thread [`scratch`] pool,
+//! refilled when tapes drop.
 //!
 //! ```
 //! use wb_tensor::{Graph, Params, Tensor, Initializer};

@@ -29,73 +29,172 @@ pub const PAR_MIN_MACS: usize = 1 << 18;
 /// Minimum elements before element-wise / row-wise ops go parallel.
 pub const PAR_MIN_ELEMS: usize = 1 << 16;
 
-/// A pool of reusable `f32` buffers shared by all tensor operations.
+/// A per-thread pool of reusable `f32` buffers.
 ///
 /// Allocating tensor ops call [`scratch::take`] instead of `Vec::new`, and
 /// the autograd `Graph` returns every node buffer with [`scratch::put`]
-/// when a tape is dropped — so after the first training step the forward
-/// and backward passes recycle buffers instead of re-allocating. The pool
-/// is global (not thread-local) because worker threads are short-lived;
-/// both calls are a quick `Mutex`-guarded push/pop.
+/// when a tape is dropped, so after the first tape the forward and
+/// backward passes recycle buffers instead of re-allocating.
+///
+/// Each thread keeps its own free list, so neither call takes a lock or
+/// touches a shared atomic. A tape is built and dropped on one thread, so
+/// its buffers come back where that thread's next tape needs them. The
+/// threads that build tapes outlive many tapes: the serve workers and
+/// batch executors and the pipeline stage threads live as long as the
+/// process, and a rayon worker lives for one parallel call — a batch of
+/// pages or a training minibatch. A pool holds at most `MAX_POOL_BYTES`
+/// (2 MiB) of capacity; a returned buffer that does not fit is freed. A
+/// thread's pool is freed when the thread exits, and a buffer returned
+/// while the thread is being torn down is freed too.
+///
+/// # Metrics
+///
+/// Each pool tallies its hits, misses and recycled bytes locally and
+/// publishes them, together with its size, in one batch per tape drop and
+/// once more when its thread exits — never per buffer. The
+/// `tensor.scratch.hit` / `.miss` / `.bytes_recycled` counters are process
+/// totals. The `tensor.scratch.pooled` / `.bytes_pooled` gauges are the
+/// sums over the live threads' pools as last published (an exiting
+/// thread subtracts its pool), and `.bytes_pooled.peak` is the
+/// high-watermark of that sum. The exit publish runs among the thread's
+/// thread-local destructors, so it is visible once the thread is joined;
+/// `std::thread::scope`'s implicit join does not wait for it.
 pub mod scratch {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
+    use std::cell::RefCell;
+    use std::sync::{Mutex, PoisonError};
 
-    /// Upper bound on pooled buffers; excess buffers just deallocate.
-    const MAX_POOLED: usize = 256;
-    /// Buffers above this capacity (elements) are not retained.
-    const MAX_BUF_CAP: usize = 1 << 22;
+    /// Capacity one thread's pool may hold; measured as fast as 8 MiB on
+    /// the briefing workloads while using less memory.
+    const MAX_POOL_BYTES: usize = 2 << 20;
 
-    static POOL: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
-    /// Bytes of capacity currently resident in the pool (mirrors the
-    /// `tensor.scratch.bytes_pooled` gauge; kept as its own atomic so
-    /// [`take`] can subtract without re-walking the pool).
-    static POOL_BYTES: AtomicU64 = AtomicU64::new(0);
+    /// `(buffers, bytes)` resident across all live threads' pools, as
+    /// last published. The gauges are set under this lock, so they always
+    /// show the latest sum. A poisoned lock is recovered: each update
+    /// leaves both sums valid, and `Pool::drop` must not panic.
+    static TOTALS: Mutex<(usize, usize)> = Mutex::new((0, 0));
 
-    /// Takes an empty buffer from the pool (or a fresh one). Pool
-    /// effectiveness is observable as the `tensor.scratch.hit` /
+    thread_local! {
+        static POOL: RefCell<Pool> = const { RefCell::new(Pool::new()) };
+    }
+
+    struct Pool {
+        bufs: Vec<Vec<f32>>,
+        /// Capacity bytes resident in `bufs`.
+        bytes: usize,
+        /// Activity not yet published.
+        hits: u64,
+        misses: u64,
+        recycled: u64,
+        /// This pool's `(buffers, bytes)` as last added to [`TOTALS`].
+        published: (usize, usize),
+    }
+
+    fn bytes_of(buf: &Vec<f32>) -> usize {
+        buf.capacity() * std::mem::size_of::<f32>()
+    }
+
+    impl Pool {
+        const fn new() -> Pool {
+            Pool {
+                bufs: Vec::new(),
+                bytes: 0,
+                hits: 0,
+                misses: 0,
+                recycled: 0,
+                published: (0, 0),
+            }
+        }
+
+        /// Publishes the tallied counters and moves this pool's share of
+        /// [`TOTALS`] to its current size; returns the new total bytes.
+        fn publish(&mut self) -> usize {
+            if self.hits > 0 {
+                wb_obs::counter!("tensor.scratch.hit", self.hits);
+            }
+            if self.misses > 0 {
+                wb_obs::counter!("tensor.scratch.miss", self.misses);
+            }
+            if self.recycled > 0 {
+                wb_obs::counter!("tensor.scratch.bytes_recycled", self.recycled);
+            }
+            (self.hits, self.misses, self.recycled) = (0, 0, 0);
+            let now = (self.bufs.len(), self.bytes);
+            let mut totals = TOTALS.lock().unwrap_or_else(PoisonError::into_inner);
+            totals.0 = totals.0 + now.0 - self.published.0;
+            totals.1 = totals.1 + now.1 - self.published.1;
+            self.published = now;
+            wb_obs::gauge!("tensor.scratch.pooled", totals.0 as f64);
+            wb_obs::gauge!("tensor.scratch.bytes_pooled", totals.1 as f64);
+            wb_obs::gauge_max!("tensor.scratch.bytes_pooled.peak", totals.1 as f64);
+            totals.1
+        }
+    }
+
+    impl Drop for Pool {
+        /// Frees the exiting thread's buffers and takes them out of the
+        /// totals, publishing whatever was still tallied.
+        fn drop(&mut self) {
+            self.bufs.clear();
+            self.bytes = 0;
+            self.publish();
+        }
+    }
+
+    /// Takes an empty buffer from this thread's pool (or a fresh one).
+    /// Pool effectiveness is observable as the `tensor.scratch.hit` /
     /// `tensor.scratch.miss` counters.
     pub fn take() -> Vec<f32> {
-        match POOL.lock().unwrap().pop() {
-            Some(buf) => {
-                wb_obs::counter!("tensor.scratch.hit");
-                let bytes = (buf.capacity() * std::mem::size_of::<f32>()) as u64;
-                let left = POOL_BYTES.fetch_sub(bytes, Ordering::Relaxed) - bytes;
-                wb_obs::gauge!("tensor.scratch.bytes_pooled", left as f64);
-                buf
+        POOL.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            match pool.bufs.pop() {
+                Some(buf) => {
+                    pool.hits += 1;
+                    pool.bytes -= bytes_of(&buf);
+                    buf
+                }
+                None => {
+                    pool.misses += 1;
+                    Vec::new()
+                }
             }
-            None => {
-                wb_obs::counter!("tensor.scratch.miss");
-                Vec::new()
-            }
-        }
+        })
+        .unwrap_or_else(|_| {
+            wb_obs::counter!("tensor.scratch.miss");
+            Vec::new()
+        })
     }
 
-    /// Returns a buffer to the pool for reuse. Recycled capacity feeds the
-    /// `tensor.scratch.bytes_recycled` counter, the current pool depth the
-    /// `tensor.scratch.pooled` gauge, and resident capacity the
-    /// `tensor.scratch.bytes_pooled` gauge plus its `.peak` high-watermark.
+    /// Returns a buffer to this thread's pool for reuse. Recycled capacity
+    /// feeds the `tensor.scratch.bytes_recycled` counter; a buffer that
+    /// would push the pool past its byte budget is freed instead.
     pub fn put(mut buf: Vec<f32>) {
-        if buf.capacity() == 0 || buf.capacity() > MAX_BUF_CAP {
+        let bytes = bytes_of(&buf);
+        if bytes == 0 || bytes > MAX_POOL_BYTES {
             return;
         }
-        let bytes = (buf.capacity() * std::mem::size_of::<f32>()) as u64;
-        wb_obs::counter!("tensor.scratch.bytes_recycled", bytes);
         buf.clear();
-        let mut pool = POOL.lock().unwrap();
-        if pool.len() < MAX_POOLED {
-            pool.push(buf);
-            let resident = POOL_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
-            wb_obs::gauge!("tensor.scratch.bytes_pooled", resident as f64);
-            wb_obs::gauge_max!("tensor.scratch.bytes_pooled.peak", resident as f64);
-            wb_obs::trace::sample("tensor.scratch.bytes_pooled", resident as f64);
-        }
-        wb_obs::gauge!("tensor.scratch.pooled", pool.len() as f64);
+        let _ = POOL.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            pool.recycled += bytes as u64;
+            if pool.bytes + bytes <= MAX_POOL_BYTES {
+                pool.bytes += bytes;
+                pool.bufs.push(buf);
+            }
+        });
     }
 
-    /// Number of buffers currently pooled (diagnostics/tests).
+    /// Number of buffers currently pooled on the calling thread
+    /// (diagnostics/tests).
     pub fn pooled() -> usize {
-        POOL.lock().unwrap().len()
+        POOL.try_with(|pool| pool.borrow().bufs.len()).unwrap_or(0)
+    }
+
+    /// Publishes this thread's tallied pool metrics; `Graph` calls it once
+    /// per tape drop.
+    pub(crate) fn publish() {
+        if let Ok(bytes) = POOL.try_with(|pool| pool.borrow_mut().publish()) {
+            wb_obs::trace::sample("tensor.scratch.bytes_pooled", bytes as f64);
+        }
     }
 
     /// Copies `src` into a pooled buffer.
@@ -119,13 +218,66 @@ fn par_chunk(total: usize) -> usize {
     (total + target - 1) / target.max(1)
 }
 
+/// A tensor shape of rank 0, 1 or 2, held inline so that creating a
+/// tensor never allocates for its shape. No model in the workspace needs a
+/// higher rank. Serializes as the plain dimension array.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Shape {
+    /// Dimensions past `rank` are always zero, so derived equality holds.
+    dims: [usize; 2],
+    rank: usize,
+}
+
+impl Shape {
+    fn try_new(dims: &[usize]) -> Option<Shape> {
+        let mut shape = Shape { dims: [0; 2], rank: dims.len() };
+        shape.dims.get_mut(..dims.len())?.copy_from_slice(dims);
+        Some(shape)
+    }
+
+    /// # Panics
+    /// Panics for a rank above 2.
+    fn new(dims: &[usize]) -> Shape {
+        Shape::try_new(dims)
+            .unwrap_or_else(|| panic!("shape {dims:?}: tensors have rank 2 at most"))
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        &self.dims[..self.rank]
+    }
+}
+
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl serde::Serialize for Shape {
+    fn to_value(&self) -> serde::Value {
+        self.as_slice().to_value()
+    }
+}
+
+impl serde::Deserialize for Shape {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let dims = Vec::<usize>::from_value(v)?;
+        Shape::try_new(&dims).ok_or_else(|| {
+            serde::DeError::msg(format!(
+                "tensor shape {dims:?} has rank {}, at most 2",
+                dims.len()
+            ))
+        })
+    }
+}
+
 /// A dense, row-major tensor of `f32` values.
 ///
 /// Invariant: `data.len() == shape.iter().product()`. A scalar is represented
 /// by an empty shape and a single element.
 #[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Tensor {
-    shape: Vec<usize>,
+    shape: Shape,
     data: Vec<f32>,
 }
 
@@ -154,27 +306,27 @@ impl Tensor {
             shape,
             data.len()
         );
-        Tensor { shape: shape.to_vec(), data }
+        Tensor { shape: Shape::new(shape), data }
     }
 
     /// A scalar tensor (empty shape).
     pub fn scalar(v: f32) -> Self {
-        Tensor { shape: vec![], data: vec![v] }
+        Tensor { shape: Shape::new(&[]), data: vec![v] }
     }
 
     /// A tensor of zeros.
     pub fn zeros(shape: &[usize]) -> Self {
-        Tensor { shape: shape.to_vec(), data: vec![0.0; shape.iter().product()] }
+        Tensor { shape: Shape::new(shape), data: vec![0.0; shape.iter().product()] }
     }
 
     /// A tensor filled with `v`.
     pub fn full(shape: &[usize], v: f32) -> Self {
-        Tensor { shape: shape.to_vec(), data: vec![v; shape.iter().product()] }
+        Tensor { shape: Shape::new(shape), data: vec![v; shape.iter().product()] }
     }
 
     /// The shape slice.
     pub fn shape(&self) -> &[usize] {
-        &self.shape
+        self.shape.as_slice()
     }
 
     /// Total number of elements.
@@ -189,15 +341,15 @@ impl Tensor {
 
     /// Number of rows of a rank-2 tensor (or 1 for rank-0/1).
     pub fn rows(&self) -> usize {
-        match self.shape.len() {
-            0 | 1 => 1,
-            _ => self.shape[0],
+        match self.shape() {
+            [rows, _] => *rows,
+            _ => 1,
         }
     }
 
     /// Number of columns, i.e. the size of the final axis (1 for scalars).
     pub fn cols(&self) -> usize {
-        self.shape.last().copied().unwrap_or(1)
+        self.shape().last().copied().unwrap_or(1)
     }
 
     /// Borrow the backing data.
@@ -254,7 +406,7 @@ impl Tensor {
                 *v = f(*v, b);
             }
         }
-        Tensor { shape: self.shape.clone(), data }
+        Tensor { shape: self.shape, data }
     }
 
     /// Element-wise unary map; parallel for large tensors (see
@@ -273,7 +425,7 @@ impl Tensor {
                 *v = f(*v);
             }
         }
-        Tensor { shape: self.shape.clone(), data }
+        Tensor { shape: self.shape, data }
     }
 
     /// `self + other` element-wise.
@@ -336,14 +488,15 @@ impl Tensor {
                 }
             }
         }
-        Tensor { shape: self.shape.clone(), data }
+        Tensor { shape: self.shape, data }
     }
 
     /// Matrix product of rank-2 tensors, with optional transposition of
     /// either operand. `matmul(a, b, false, false)` computes `a @ b`.
     ///
-    /// Products above [`crate::kernels::PACK_MIN_MACS`] multiply-accumulates
-    /// take the packed, cache-blocked path (see [`crate::kernels`]): the
+    /// Products of more than one output row above
+    /// [`crate::kernels::PACK_MIN_MACS`] multiply-accumulates take the
+    /// packed, cache-blocked path (see [`crate::kernels`]): the
     /// transposed operand is repacked into row-major panels once per call,
     /// so all four transpose variants hit the same SIMD-friendly inner
     /// loop. Large products (≥ [`PAR_MIN_ROWS`] output rows and ≥
@@ -358,7 +511,7 @@ impl Tensor {
         let (am, ak, bn) = matmul_check(self, other, trans_a, trans_b);
         let mut out = scratch::zeroed(am * bn);
         matmul_dispatch(&self.data, &other.data, trans_a, trans_b, am, ak, bn, &mut out, true);
-        Tensor { shape: vec![am, bn], data: out }
+        Tensor { shape: Shape::new(&[am, bn]), data: out }
     }
 
     /// Matrix product into an existing tensor, reusing its allocation.
@@ -371,8 +524,7 @@ impl Tensor {
         let (am, ak, bn) = matmul_check(self, other, trans_a, trans_b);
         out.data.clear();
         out.data.resize(am * bn, 0.0);
-        out.shape.clear();
-        out.shape.extend_from_slice(&[am, bn]);
+        out.shape = Shape::new(&[am, bn]);
         matmul_dispatch(
             &self.data,
             &other.data,
@@ -396,13 +548,12 @@ impl Tensor {
         let (am, ak, bn) = matmul_check(self, other, trans_a, trans_b);
         let mut out = scratch::zeroed(am * bn);
         matmul_dispatch(&self.data, &other.data, trans_a, trans_b, am, ak, bn, &mut out, false);
-        Tensor { shape: vec![am, bn], data: out }
+        Tensor { shape: Shape::new(&[am, bn]), data: out }
     }
 
     /// Transpose of a rank-2 tensor.
     pub fn transpose(&self) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "transpose requires rank 2");
-        let (r, c) = (self.shape[0], self.shape[1]);
+        let &[r, c] = self.shape() else { panic!("transpose requires rank 2") };
         let mut out = vec![0.0; r * c];
         for i in 0..r {
             for j in 0..c {
@@ -479,7 +630,7 @@ impl Tensor {
                 softmax_slice(row, temperature);
             }
         }
-        Tensor { shape: self.shape.clone(), data }
+        Tensor { shape: self.shape, data }
     }
 
     /// The Frobenius (L2) norm.
@@ -596,7 +747,7 @@ fn matmul_check(a: &Tensor, b: &Tensor, trans_a: bool, trans_b: bool) -> (usize,
 
 /// Runs a matmul either serially or split by output row over the pool,
 /// routing large products through the packed/tiled [`crate::kernels`] and
-/// small ones through the direct per-variant loops. Both paths accumulate
+/// small or one-row ones through the direct per-variant loops. Both paths accumulate
 /// every output element in ascending-`k` order on a single chain and
 /// never skip a term, so results are bit-identical across paths, thread
 /// counts, and transpose variants — non-finite inputs poison the same
@@ -639,7 +790,9 @@ fn matmul_dispatch(
     }
     // `matmul_serial` (allow_parallel = false) stays on the direct loops:
     // it is the independent reference the packed path is tested against.
-    if allow_parallel && ak > 0 && macs >= crate::kernels::PACK_MIN_MACS {
+    // A one-row product never packs: packing copies all of `B` to use each
+    // element once, which costs more than the direct loop itself.
+    if allow_parallel && am > 1 && ak > 0 && macs >= crate::kernels::PACK_MIN_MACS {
         crate::kernels::matmul_packed(
             a,
             b,
@@ -917,6 +1070,81 @@ mod tests {
             let sb: Vec<u32> = ser.data().iter().map(canon_bits).collect();
             assert_eq!(pb, sb, "packed variant ({ta}, {tb}) diverged from serial");
         }
+
+        // A one-row product above PACK_MIN_MACS (the decoder's output
+        // projection, 1×52×606): `matmul` now takes the direct loops, so
+        // the packed kernel is run by hand as the cross-check.
+        let (m, k, n) = (1, 52, 606);
+        assert!(m * k * n >= crate::kernels::PACK_MIN_MACS);
+        let mut adata: Vec<f32> = (0..k).map(|i| (i % 7) as f32 * 0.25 - 0.75).collect();
+        adata[9] = f32::NAN;
+        let mut bdata: Vec<f32> =
+            (0..k * n).map(|i| ((i * 40503usize) % 1000) as f32 / 991.0 - 0.5).collect();
+        bdata[3 * n + 17] = f32::INFINITY;
+        bdata[5 * n + 2] = -0.0;
+        let a = Tensor::from_vec(&[m, k], adata);
+        let b = Tensor::from_vec(&[k, n], bdata);
+        for &(ta, tb) in &[(false, false), (true, false), (false, true), (true, true)] {
+            let a_op = if ta { a.transpose() } else { a.clone() };
+            let b_op = if tb { b.transpose() } else { b.clone() };
+            let direct = a_op.matmul(&b_op, ta, tb);
+            let ser = a_op.matmul_serial(&b_op, ta, tb);
+            let mut packed = vec![0.0; m * n];
+            crate::kernels::matmul_packed(
+                a_op.data(),
+                b_op.data(),
+                ta,
+                tb,
+                m,
+                k,
+                n,
+                &mut packed,
+                false,
+                m,
+            );
+            let db: Vec<u32> = direct.data().iter().map(canon_bits).collect();
+            let sb: Vec<u32> = ser.data().iter().map(canon_bits).collect();
+            let pb: Vec<u32> = packed.iter().map(canon_bits).collect();
+            assert_eq!(db, sb, "one-row variant ({ta}, {tb}) diverged from serial");
+            assert_eq!(db, pb, "one-row variant ({ta}, {tb}) diverged from the packed kernel");
+        }
+    }
+
+    #[test]
+    fn shape_serializes_as_the_plain_dimension_array() {
+        use serde::{Deserialize, Serialize, Value};
+        let num = |v: f64| Value::Num(v);
+        // The exact tree the former `shape: Vec<usize>` field produced.
+        let expected = |shape: &[usize], data: &[f32]| {
+            Value::Obj(vec![
+                ("shape".into(), Value::Arr(shape.iter().map(|&d| num(d as f64)).collect())),
+                ("data".into(), Value::Arr(data.iter().map(|&x| num(x as f64)).collect())),
+            ])
+        };
+        for t in [
+            Tensor::from_vec(&[2, 3], vec![1., 2., 3., 4., 5., 6.]),
+            Tensor::from_vec(&[3], vec![0.5, -1., 2.]),
+            Tensor::scalar(4.5),
+        ] {
+            let v = t.to_value();
+            assert_eq!(v, expected(t.shape(), t.data()));
+            assert_eq!(Tensor::from_value(&v).unwrap(), t);
+        }
+    }
+
+    #[test]
+    fn rank_three_shape_is_a_load_error_not_a_panic() {
+        let err = serde_json::from_str::<Tensor>(r#"{"shape":[1,2,2],"data":[1,2,3,4]}"#)
+            .expect_err("a rank-3 tensor must not load");
+        assert!(err.to_string().contains("rank 3"), "{err}");
+        let params = r#"{"names":["w"],"tensors":[{"shape":[2,1,1],"data":[1,2]}]}"#;
+        assert!(serde_json::from_str::<crate::Params>(params).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 2 at most")]
+    fn rank_three_tensor_cannot_be_built() {
+        let _ = Tensor::zeros(&[1, 2, 2]);
     }
 
     #[test]
