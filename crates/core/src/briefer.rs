@@ -4,6 +4,7 @@
 
 use crate::joint::{JointModel, JointVariant};
 use crate::{ModelConfig, TrainConfig};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use wb_corpus::{AttrKind, Dataset, Example, TopicId};
 use wb_eval::bio_to_spans;
 use wb_html::parse_document;
@@ -57,13 +58,17 @@ impl Brief {
     }
 }
 
-/// Errors from [`Briefer::brief_html`].
+/// Why a page did not brief. The `Display` text is the one error text
+/// every path reports: `wb brief`, `wb serve` and the `wb crawl-brief`
+/// dead-letter file.
 #[derive(Debug)]
 pub enum BriefError {
     /// The HTML could not be parsed.
     Parse(wb_html::ParseError),
     /// The page has no visible text to brief.
     EmptyPage,
+    /// Briefing the page panicked; caught by [`Briefer::brief_batch`].
+    Panicked(String),
 }
 
 impl std::fmt::Display for BriefError {
@@ -71,6 +76,7 @@ impl std::fmt::Display for BriefError {
         match self {
             BriefError::Parse(e) => write!(f, "failed to parse page: {e}"),
             BriefError::EmptyPage => write!(f, "page has no visible text"),
+            BriefError::Panicked(m) => write!(f, "panic while briefing: {m}"),
         }
     }
 }
@@ -260,13 +266,14 @@ impl Briefer {
         &self.model
     }
 
-    /// The tokenizer the model was trained with (streaming pipelines
-    /// encode pages in a separate stage from briefing).
+    /// The tokenizer the model was trained with (the benchmark's traced
+    /// pass re-encodes pages with it).
     pub fn tokenizer(&self) -> &WordPiece {
         &self.tokenizer
     }
 
-    /// Briefs a raw HTML page.
+    /// Briefs a raw HTML page: parse → [`Briefer::prepare`] →
+    /// [`Briefer::brief_chunks`].
     ///
     /// Each stage of the pipeline runs under a `wb-obs` span, so
     /// `wb report` can show where page latency goes:
@@ -289,9 +296,17 @@ impl Briefer {
             let _s = wb_obs::span!("brief.parse");
             parse_document(html).map_err(BriefError::Parse)?
         };
+        Ok(self.brief_chunks(&self.prepare(&dom)?))
+    }
+
+    /// Turns a parsed page into its model inputs, the one way every path
+    /// does it (§IV-A3): visible text → sentences → WordPiece with one
+    /// `[CLS]` per sentence → sub-documents ([`encode_chunked`]). A page
+    /// without visible text is [`BriefError::EmptyPage`].
+    pub fn prepare(&self, dom: &wb_html::Node) -> Result<Vec<Example>, BriefError> {
         let sentences = {
             let _s = wb_obs::span!("brief.normalize");
-            split_sentences(&wb_html::visible_text(&dom))
+            split_sentences(&wb_html::visible_text(dom))
         };
         if sentences.is_empty() {
             wb_obs::debug!("page rejected: no visible text");
@@ -303,27 +318,45 @@ impl Briefer {
         };
         wb_obs::counter!("brief.pages");
         wb_obs::counter!("brief.chunks", chunks.len());
-        Ok(self.brief_chunks(&chunks))
+        Ok(chunks)
     }
 
-    /// Briefs a batch of HTML pages, fanning pages over the rayon pool.
-    ///
-    /// Results come back in input order regardless of thread count, and
-    /// each entry is identical to what [`Briefer::brief_html`] returns for
-    /// the same page: briefing is a pure function of (model, page), so the
-    /// parallel fan-out cannot change any output, only the wall-clock time.
-    /// Set `RAYON_NUM_THREADS=1` to force sequential execution.
+    /// Briefs a batch of HTML pages (see [`Briefer::brief_batch`]); each
+    /// entry is what [`Briefer::brief_html`] returns for that page.
     pub fn brief_corpus(&self, htmls: &[String]) -> Vec<Result<Brief, BriefError>> {
-        use rayon::prelude::*;
         let start = std::time::Instant::now();
-        let out: Vec<Result<Brief, BriefError>> =
-            htmls.par_iter().map(|html| self.brief_html(html)).collect();
+        let out = self.brief_batch(htmls, |html| self.brief_html(html));
         let secs = start.elapsed().as_secs_f64();
         if secs > 0.0 {
             wb_obs::gauge!("brief.pages_per_sec", htmls.len() as f64 / secs);
         }
         wb_obs::info!("briefed {} pages in {secs:.3}s", htmls.len());
         out
+    }
+
+    /// Runs `brief_one` over every item, fanned over the rayon pool — the
+    /// one briefing fan-out `wb brief`, `wb serve` and `wb crawl-brief`
+    /// share.
+    ///
+    /// Results come back in input order regardless of thread count.
+    /// Briefing is a pure function of (model, page), so the fan-out cannot
+    /// change any output, only the wall-clock time; set
+    /// `RAYON_NUM_THREADS=1` to force sequential execution. Each item runs
+    /// under its own `catch_unwind`: a panic fails only that item, as
+    /// [`BriefError::Panicked`].
+    pub fn brief_batch<T: Sync>(
+        &self,
+        items: &[T],
+        brief_one: impl Fn(&T) -> Result<Brief, BriefError> + Sync,
+    ) -> Vec<Result<Brief, BriefError>> {
+        use rayon::prelude::*;
+        items
+            .par_iter()
+            .map(|item| {
+                catch_unwind(AssertUnwindSafe(|| brief_one(item)))
+                    .unwrap_or_else(|p| Err(BriefError::Panicked(panic_text(p.as_ref()))))
+            })
+            .collect()
     }
 
     /// Briefs an already-encoded example (a single sub-document).
@@ -375,6 +408,17 @@ impl Briefer {
             sentence_base += ex.num_sentences();
         }
         Brief { topic, category, attributes, informative_sentences }
+    }
+}
+
+/// The message of a caught panic payload.
+pub(crate) fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 

@@ -1,6 +1,12 @@
 //! The `wb crawl-brief` streaming pipeline: crawl → parse → chunk → brief
 //! → JSONL sink, as four stages joined by *bounded* queues.
 //!
+//! The chunk and brief stages are [`Briefer::brief_html`] split in two:
+//! the chunker calls [`Briefer::prepare`] and the briefer stage calls
+//! [`Briefer::brief_chunks`] through [`Briefer::brief_batch`]. So a page's
+//! brief, and the dead-letter reason of a page that cannot brief, are the
+//! same as `wb brief` and `wb serve` give for it.
+//!
 //! Design invariants:
 //!
 //! * **Bounded memory.** Every inter-stage queue is a
@@ -11,10 +17,11 @@
 //!   `pipeline.inflight.bytes_peak` and `pipeline.queue.*.depth_peak`
 //!   gauges prove it at run time.
 //! * **Fault isolation.** Each page is parsed, chunked and briefed under
-//!   `catch_unwind`: a malformed or panicking page is quarantined to the
-//!   dead-letter file and the run continues. Transient I/O failures retry
-//!   with decorrelated-jitter backoff; the `--error-budget` threshold
-//!   aborts the run cleanly when too large a fraction of pages dies.
+//!   `catch_unwind` (briefing through [`Briefer::brief_batch`]): a
+//!   malformed or panicking page is quarantined to the dead-letter file
+//!   and the run continues. Transient I/O failures retry with
+//!   decorrelated-jitter backoff; the `--error-budget` threshold aborts
+//!   the run cleanly when too large a fraction of pages dies.
 //! * **Crash safety.** Every page outcome is appended to a journal (with
 //!   the cumulative output offsets *after* the entry), and the crawl
 //!   frontier is snapshotted atomically every `snapshot_every` pages. A
@@ -30,7 +37,7 @@
 //! `pipeline.brief`, `pipeline.sink.write`, `pipeline.journal.write`,
 //! `pipeline.snapshot.write`.
 
-use crate::briefer::{encode_chunked, Brief, Briefer};
+use crate::briefer::{panic_text, Brief, BriefError, Briefer};
 use std::collections::{HashSet, VecDeque};
 use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -343,16 +350,6 @@ impl Inflight {
     }
 }
 
-fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Stage 1: crawler
 // ---------------------------------------------------------------------------
@@ -442,7 +439,7 @@ fn run_crawler(
             if let Some(f) = wb_chaos::fault_point!("pipeline.parse") {
                 return Err(f.io_error("pipeline.parse").to_string());
             }
-            parse_document(&html).map_err(|e| format!("parse failed: {e}"))
+            parse_document(&html).map_err(|e| BriefError::Parse(e).to_string())
         }));
         let dom = match parsed {
             Ok(Ok(dom)) => dom,
@@ -494,8 +491,7 @@ fn run_crawler(
 // Stage 2: chunker
 // ---------------------------------------------------------------------------
 
-/// Visible text → sentence split → §IV-A3 sub-document encoding, each page
-/// under `catch_unwind`.
+/// [`Briefer::prepare`] for each page, under `catch_unwind`.
 fn run_chunker(
     briefer: &Briefer,
     rx: GaugedRx<PageMsg>,
@@ -510,11 +506,7 @@ fn run_chunker(
                     if let Some(f) = wb_chaos::fault_point!("pipeline.chunk") {
                         return Err(f.io_error("pipeline.chunk").to_string());
                     }
-                    let sentences = wb_text::split_sentences(&wb_html::visible_text(&dom));
-                    if sentences.is_empty() {
-                        return Err("page has no visible text".to_string());
-                    }
-                    Ok(encode_chunked(&sentences, briefer.tokenizer(), briefer.chunk_config()))
+                    briefer.prepare(&dom).map_err(|e| e.to_string())
                 }));
                 match r {
                     Ok(Ok(chunks)) => ChunkMsg::Chunks { seq, url, chunks, bytes },
@@ -545,10 +537,10 @@ fn run_chunker(
 // Stage 3: briefer
 // ---------------------------------------------------------------------------
 
-/// Batches consecutive chunked pages, fans each batch over rayon (every
-/// page still under its own `catch_unwind`), and re-emits strictly in
-/// sequence order. Any non-batch message flushes the pending batch first
-/// so FIFO order is preserved end to end.
+/// Batches consecutive chunked pages, briefs each batch with
+/// [`Briefer::brief_batch`] (a panicking page is quarantined alone), and
+/// re-emits strictly in sequence order. Any non-batch message flushes the
+/// pending batch first so FIFO order is preserved end to end.
 fn run_briefer(
     briefer: &Briefer,
     batch_size: usize,
@@ -563,27 +555,18 @@ fn run_briefer(
             return Ok(());
         }
         let _s = wb_obs::span!("pipeline.brief.batch");
-        use rayon::prelude::*;
-        let results: Vec<Result<Brief, String>> = batch
-            .par_iter()
-            .map(|(_, _, chunks, _)| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(f) = wb_chaos::fault_point!("pipeline.brief") {
-                        return Err(f.io_error("pipeline.brief").to_string());
-                    }
-                    Ok(briefer.brief_chunks(chunks))
-                }))
-                .unwrap_or_else(|p| {
-                    Err(format!("panic while briefing: {}", panic_text(p.as_ref())))
-                })
-            })
-            .collect();
+        let results = briefer.brief_batch(batch, |(_, _, chunks, _)| {
+            if wb_chaos::fault_point!("pipeline.brief").is_some() {
+                panic!("injected fault at pipeline.brief");
+            }
+            Ok(briefer.brief_chunks(chunks))
+        });
         for ((seq, url, _, bytes), r) in batch.drain(..).zip(results) {
             let msg = match r {
                 Ok(brief) => BriefMsg::Brief { seq, url, brief, bytes },
-                Err(reason) => {
+                Err(e) => {
                     inflight.sub(bytes);
-                    BriefMsg::Dead { seq, url, reason }
+                    BriefMsg::Dead { seq, url, reason: e.to_string() }
                 }
             };
             tx.send(msg)?;
@@ -918,6 +901,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
     use wb_corpus::{
         export_site, generate_site, Dataset, DatasetConfig, SiteScenario, SiteSpecConfig,
         Taxonomy,
@@ -954,6 +938,29 @@ mod tests {
         }
     }
 
+    /// One `briefs.jsonl` line.
+    #[derive(Debug, serde::Deserialize)]
+    #[allow(dead_code)]
+    struct OutLine {
+        seq: usize,
+        url: String,
+        brief: Brief,
+    }
+
+    /// One dead-letter line.
+    #[derive(Debug, serde::Deserialize)]
+    #[allow(dead_code)]
+    struct DeadLine {
+        seq: usize,
+        url: String,
+        reason: String,
+    }
+
+    fn jsonl<T: serde::Deserialize>(path: &Path) -> Vec<T> {
+        let text = std::fs::read_to_string(path).unwrap();
+        text.lines().map(|l| serde_json::from_str(l).expect("valid JSONL")).collect()
+    }
+
     fn fresh_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(name);
         let _ = std::fs::remove_dir_all(&dir);
@@ -963,6 +970,7 @@ mod tests {
 
     #[test]
     fn clean_site_briefs_every_content_page() {
+        let _chaos = wb_chaos::test_lock();
         let dir = fresh_dir("wb_pipeline_clean");
         site_in(&dir.join("site"), SiteScenario::Clean, 7, 1);
         let briefer = test_briefer();
@@ -985,6 +993,7 @@ mod tests {
 
     #[test]
     fn interrupted_run_resumes_to_byte_identical_output() {
+        let _chaos = wb_chaos::test_lock();
         let dir = fresh_dir("wb_pipeline_resume");
         site_in(&dir.join("site"), SiteScenario::Clean, 9, 2);
         let briefer = test_briefer();
@@ -1027,6 +1036,7 @@ mod tests {
 
     #[test]
     fn truncated_output_tail_is_repaired_on_resume() {
+        let _chaos = wb_chaos::test_lock();
         let dir = fresh_dir("wb_pipeline_torn");
         site_in(&dir.join("site"), SiteScenario::Clean, 6, 3);
         let briefer = test_briefer();
@@ -1045,23 +1055,13 @@ mod tests {
         let report = crawl_brief(&briefer, &cfg).unwrap();
         assert_eq!(report.briefed, 6);
         // Every output line is valid JSON again (the torn tail is gone).
-        #[derive(serde::Deserialize)]
-        #[allow(dead_code)]
-        struct OutLine {
-            seq: usize,
-            url: String,
-            brief: Brief,
-        }
-        let out = std::fs::read_to_string(&cfg.out_path).unwrap();
-        assert_eq!(out.lines().count(), 6);
-        for line in out.lines() {
-            serde_json::from_str::<OutLine>(line).expect("valid JSONL");
-        }
+        assert_eq!(jsonl::<OutLine>(&cfg.out_path).len(), 6);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn hostile_pages_are_quarantined_not_fatal() {
+        let _chaos = wb_chaos::test_lock();
         let dir = fresh_dir("wb_pipeline_hostile");
         site_in(&dir.join("site"), SiteScenario::Malformed, 12, 4);
         let briefer = test_briefer();
@@ -1079,7 +1079,73 @@ mod tests {
     }
 
     #[test]
+    fn crawl_briefs_and_dead_letters_match_brief_html() {
+        let _chaos = wb_chaos::test_lock();
+        let briefer = test_briefer();
+        for (name, scenario) in
+            [("malformed", SiteScenario::Malformed), ("mixed", SiteScenario::Mixed)]
+        {
+            let dir = fresh_dir(&format!("wb_pipeline_cross_{name}"));
+            site_in(&dir.join("site"), scenario, 24, 11);
+            let cfg = cfg_in(&dir);
+            crawl_brief(&briefer, &cfg).unwrap();
+            let direct = |url: &str| {
+                let html =
+                    std::fs::read_to_string(cfg.site_dir.join(url_to_path(url))).unwrap();
+                briefer.brief_html(&html)
+            };
+            let briefs: Vec<OutLine> = jsonl(&cfg.out_path);
+            assert!(!briefs.is_empty(), "{name}: nothing briefed");
+            for line in &briefs {
+                assert_eq!(line.brief, direct(&line.url).unwrap(), "{name}: {}", line.url);
+            }
+            let dead: Vec<DeadLine> = jsonl(&cfg.dead_letter_path);
+            assert!(
+                dead.iter().any(|l| l.reason.starts_with("failed to parse page:")),
+                "{name}: the nesting bomb must be quarantined, got {dead:?}"
+            );
+            for line in &dead {
+                let err = direct(&line.url).unwrap_err().to_string();
+                assert_eq!(line.reason, err, "{name}: {}", line.url);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_panicking_brief_quarantines_only_that_page() {
+        let _chaos = wb_chaos::test_lock();
+        let briefer = test_briefer();
+        let ref_dir = fresh_dir("wb_pipeline_brief_panic_ref");
+        site_in(&ref_dir.join("site"), SiteScenario::Clean, 7, 6);
+        let reference = cfg_in(&ref_dir);
+        crawl_brief(&briefer, &reference).unwrap();
+        let dir = fresh_dir("wb_pipeline_brief_panic");
+        site_in(&dir.join("site"), SiteScenario::Clean, 7, 6);
+        let cfg = cfg_in(&dir);
+        wb_chaos::arm_str("pipeline.brief=panic@nth(3)").unwrap();
+        let run = crawl_brief(&briefer, &cfg);
+        wb_chaos::disarm();
+        run.unwrap();
+        let dead: Vec<DeadLine> = jsonl(&cfg.dead_letter_path);
+        assert_eq!(dead.len(), 1, "{dead:?}");
+        assert!(dead[0].reason.starts_with("panic while briefing:"), "{dead:?}");
+        let expected: HashMap<String, Brief> = jsonl::<OutLine>(&reference.out_path)
+            .into_iter()
+            .map(|l| (l.url, l.brief))
+            .collect();
+        let briefs: Vec<OutLine> = jsonl(&cfg.out_path);
+        assert_eq!(briefs.len() + 1, expected.len());
+        for line in &briefs {
+            assert_eq!(line.brief, expected[&line.url], "{}", line.url);
+        }
+        let _ = std::fs::remove_dir_all(&ref_dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn error_budget_aborts_cleanly_and_remains_resumable() {
+        let _chaos = wb_chaos::test_lock();
         let dir = fresh_dir("wb_pipeline_budget");
         // A poison farm: index + many unparseable pages.
         let site = dir.join("site");
@@ -1115,6 +1181,7 @@ mod tests {
 
     #[test]
     fn site_change_under_resume_is_detected() {
+        let _chaos = wb_chaos::test_lock();
         let dir = fresh_dir("wb_pipeline_sitechange");
         site_in(&dir.join("site"), SiteScenario::Clean, 6, 5);
         let briefer = test_briefer();
@@ -1141,6 +1208,7 @@ mod tests {
 
     #[test]
     fn empty_site_reports_nothing() {
+        let _chaos = wb_chaos::test_lock();
         let dir = fresh_dir("wb_pipeline_empty");
         std::fs::create_dir_all(dir.join("site")).unwrap();
         let briefer = test_briefer();

@@ -1,14 +1,13 @@
 //! Micro-batching: concurrent `/brief` requests queue here and a single
-//! executor drains the whole queue into [`Briefer::brief_corpus`], so
+//! executor drains the whole queue into [`Briefer::brief_batch`], so
 //! simultaneous requests share one rayon fan-out instead of contending for
 //! the pool one page at a time. While a batch runs, newly arriving
 //! requests accumulate and form the next batch.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use wb_core::Briefer;
+use wb_core::{BriefError, Briefer};
 
 use crate::breaker::CircuitBreaker;
 
@@ -21,7 +20,7 @@ pub enum BriefOutcome {
     /// The page itself cannot be briefed (unparseable, no visible text)
     /// → 422 for this request, the batch is unaffected.
     Unbriefable(String),
-    /// The model panicked or the executor is gone → 500.
+    /// Briefing this page panicked or the executor is gone → 500.
     Internal(String),
     /// The request's deadline passed while it queued → 504. Issued only
     /// *before* the model runs: once a page enters the batch, its result
@@ -135,11 +134,12 @@ impl Batcher {
     ///
     /// Identical pages within a batch are coalesced: the model runs once
     /// per distinct page and every requester shares the one serialised
-    /// response. A panic anywhere in the model fails the batch's requests
-    /// with [`BriefOutcome::Internal`], records a failure on `breaker` and
-    /// never kills the server; a clean batch records a success. Jobs whose
-    /// deadline has already passed are answered [`BriefOutcome::Expired`]
-    /// before the model runs and do not occupy it.
+    /// response. A page whose briefing panics answers only its own
+    /// requests with [`BriefOutcome::Internal`] and never kills the
+    /// server; a batch with any panicked page records one failure on
+    /// `breaker`, any other batch a success. Jobs whose deadline has
+    /// already passed are answered [`BriefOutcome::Expired`] before the
+    /// model runs and do not occupy it.
     pub fn run_executor(
         &self,
         briefer: &Briefer,
@@ -149,7 +149,7 @@ impl Batcher {
         while let Some(jobs) = self.next_batch() {
             let _span = wb_obs::span!("serve.batch");
             wb_obs::histogram!("serve.batch.size", jobs.len());
-            // Everything from here to the end of brief_corpus is "model"
+            // Everything from here to the end of brief_batch is "model"
             // time for this batch: the handler-delay stall simulates model
             // cost, and the deadline gate/coalescing are noise next to it.
             let drained = Instant::now();
@@ -189,44 +189,39 @@ impl Batcher {
                 }
             }
             wb_obs::counter!("serve.batch.pages", uniq.len());
-            let htmls: Vec<String> = uniq.iter().map(|s| s.to_string()).collect();
-            let briefed = catch_unwind(AssertUnwindSafe(|| {
+            let results = briefer.brief_batch(&uniq, |html| {
                 if wb_chaos::fault_point!("serve.worker.pre_model").is_some() {
                     // An injected `error`/`nan` at this point stands in for
                     // any pre-model failure; it must look like a model
-                    // panic to the batch (and hence to the breaker).
+                    // panic to the page (and hence to the breaker).
                     panic!("injected fault: serve.worker.pre_model");
                 }
-                briefer.brief_corpus(&htmls)
-            }));
+                briefer.brief_html(html)
+            });
             let model_us = u64::try_from(drained.elapsed().as_micros()).unwrap_or(u64::MAX);
             let serialize_t0 = Instant::now();
-            let outcomes: Vec<BriefOutcome> = match briefed {
-                Ok(results) => {
-                    breaker.record_success();
-                    results
-                        .into_iter()
-                        .map(|r| match r {
-                            Ok(brief) => match serde_json::to_string_pretty(&brief) {
-                                Ok(json) => BriefOutcome::Ok(Arc::new(json)),
-                                Err(e) => {
-                                    BriefOutcome::Internal(format!("brief serialisation: {e}"))
-                                }
-                            },
-                            Err(e) => BriefOutcome::Unbriefable(e.to_string()),
-                        })
-                        .collect()
-                }
-                Err(_) => {
-                    breaker.record_failure();
-                    wb_obs::error!("briefing batch panicked; failing {} requests", jobs.len());
-                    wb_obs::counter!("serve.batch.panics");
-                    vec![
-                        BriefOutcome::Internal("briefing failed internally".to_string());
-                        uniq.len()
-                    ]
-                }
-            };
+            let mut panics = 0usize;
+            let outcomes: Vec<BriefOutcome> = results
+                .into_iter()
+                .map(|r| match r {
+                    Ok(brief) => match serde_json::to_string_pretty(&brief) {
+                        Ok(json) => BriefOutcome::Ok(Arc::new(json)),
+                        Err(e) => BriefOutcome::Internal(format!("brief serialisation: {e}")),
+                    },
+                    Err(BriefError::Panicked(_)) => {
+                        panics += 1;
+                        BriefOutcome::Internal("briefing failed internally".to_string())
+                    }
+                    Err(e) => BriefOutcome::Unbriefable(e.to_string()),
+                })
+                .collect();
+            if panics > 0 {
+                breaker.record_failure();
+                wb_obs::error!("briefing panicked on {panics} of {} pages", uniq.len());
+                wb_obs::counter!("serve.batch.panics", panics);
+            } else {
+                breaker.record_success();
+            }
             let serialize_us =
                 u64::try_from(serialize_t0.elapsed().as_micros()).unwrap_or(u64::MAX);
             for (job, &uniq_idx) in jobs.iter().zip(&index_of) {
@@ -250,7 +245,10 @@ impl Default for Batcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::BreakerConfig;
     use std::sync::mpsc::channel;
+    use wb_core::{JointModel, JointVariant, ModelConfig};
+    use wb_corpus::{Dataset, DatasetConfig};
 
     fn far_deadline() -> Instant {
         Instant::now() + Duration::from_secs(60)
@@ -268,6 +266,58 @@ mod tests {
             tx
         }));
         assert!(b.next_batch().is_none());
+    }
+
+    #[test]
+    fn a_panicking_page_fails_only_its_own_requests() {
+        let _chaos = wb_chaos::test_lock();
+        let d = Dataset::generate(&DatasetConfig::tiny());
+        let cfg = ModelConfig::scaled(d.tokenizer.vocab().len());
+        let briefer = Briefer::from_model(
+            JointModel::new(JointVariant::JointWb, cfg, 11),
+            d.tokenizer.clone(),
+        );
+        let pages: Vec<String> = (0..3)
+            .map(|i| format!("<html><body><p>great velcro books {i} , price : $ {i}.99 .</p></body></html>"))
+            .collect();
+        // All three are queued before the executor drains, so they form
+        // one batch; the fault fires on the second page briefed.
+        let b = Batcher::new();
+        let rxs: Vec<_> = pages
+            .iter()
+            .map(|html| {
+                let (tx, rx) = channel();
+                let job = Job {
+                    html: html.clone(),
+                    deadline: far_deadline(),
+                    submitted: Instant::now(),
+                    tx,
+                };
+                assert!(b.submit(job));
+                rx
+            })
+            .collect();
+        b.close();
+        let breaker = CircuitBreaker::new(BreakerConfig { threshold: 1, ..Default::default() });
+        wb_chaos::arm_str("serve.worker.pre_model=panic@nth(2)").unwrap();
+        b.run_executor(&briefer, Duration::ZERO, &breaker);
+        wb_chaos::disarm();
+        let mut internal = 0;
+        for (page, rx) in pages.iter().zip(rxs) {
+            match rx.recv().unwrap().outcome {
+                BriefOutcome::Ok(json) => {
+                    let expected =
+                        serde_json::to_string_pretty(&briefer.brief_html(page).unwrap())
+                            .unwrap();
+                    assert_eq!(*json, expected);
+                }
+                BriefOutcome::Internal(_) => internal += 1,
+                other => panic!("unexpected outcome {other:?}"),
+            }
+        }
+        assert_eq!(internal, 1, "only the panicked page fails");
+        // Threshold 1: the batch's one recorded failure opened the circuit.
+        assert_eq!(breaker.state_name(), "open");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! HalfOpen --(probe fails)-----> Open (fresh cooldown)
 //! ```
 //!
-//! Failures are recorded per *batch* (the executor runs batches strictly
+//! Failures are recorded per *batch*, one for a batch with any panicked
+//! page (the executor runs batches strictly
 //! sequentially, so batch granularity keeps the accounting race-free).
 //! Metrics: `serve.breaker.state` gauge (0 closed, 1 open, 0.5 half-open),
 //! `serve.breaker.opened` / `serve.breaker.reopened` / `serve.breaker.closed`

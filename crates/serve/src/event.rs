@@ -23,7 +23,7 @@
 //!   flushed, then either return to Reading (keep-alive) or close.
 //! - **Draining**: error responses linger briefly reading-and-discarding
 //!   so the close is a clean FIN instead of an RST that could destroy the
-//!   client's copy of the error (see [`http::drain`] for the rationale).
+//!   client's copy of the error (see [`DRAIN_WINDOW`] for the rationale).
 //!
 //! Cache hits are answered inline on this thread (`try_lock` only — under
 //! contention the request falls through to a worker): a hot-cache request
@@ -179,6 +179,13 @@ fn raw_fd<T>(_t: &T) -> i32 {
 }
 
 /// How long an error-close lingers draining the client's unread bytes.
+///
+/// Early-reject paths (413, 400, the 503 shed) answer without consuming
+/// the request. Closing a socket with unread data makes the kernel send
+/// RST, which can destroy the client's copy of the response before it is
+/// read. A bounded drain turns the close into a clean FIN for any
+/// well-behaved client while still capping the time and bytes
+/// ([`DRAIN_LIMIT`]) a hostile one can make us spend.
 const DRAIN_WINDOW: Duration = Duration::from_millis(250);
 /// Most bytes an error-close will discard before giving up on a clean FIN.
 const DRAIN_LIMIT: usize = 64 * 1024;

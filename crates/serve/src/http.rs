@@ -13,10 +13,6 @@
 //! resynchronizes (resyncing on a smuggling-shaped request is how
 //! request-smuggling attacks work).
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
-
 /// Upper bound on the request line + headers, generous for any real client.
 const MAX_HEAD_BYTES: usize = 32 * 1024;
 
@@ -79,7 +75,7 @@ impl Request {
 /// A request that could not be read; each variant maps to one status code.
 #[derive(Debug, PartialEq, Eq)]
 pub enum HttpError {
-    /// The socket timed out before a full request arrived → 408.
+    /// The request did not arrive in full before its deadline → 408.
     Timeout,
     /// The declared `Content-Length` exceeds the configured limit → 413.
     BodyTooLarge {
@@ -95,9 +91,6 @@ pub enum HttpError {
     /// Anything else malformed (bad request line, bad `Content-Length`,
     /// early EOF) → 400.
     Malformed(String),
-    /// The client connected and closed without sending a byte; no response
-    /// is owed (health probes from load balancers do this).
-    Empty,
 }
 
 impl HttpError {
@@ -109,7 +102,6 @@ impl HttpError {
             HttpError::HeadTooLarge => 431,
             HttpError::UnsupportedTransferEncoding => 501,
             HttpError::Malformed(_) => 400,
-            HttpError::Empty => 0,
         }
     }
 
@@ -127,7 +119,6 @@ impl HttpError {
                 "transfer codings are not supported; send a Content-Length body".to_string()
             }
             HttpError::Malformed(m) => m.clone(),
-            HttpError::Empty => "empty request".to_string(),
         }
     }
 }
@@ -190,13 +181,6 @@ impl RequestParser {
     /// Forgets all progress (used when the caller discards the buffer).
     pub fn reset(&mut self) {
         *self = RequestParser::new();
-    }
-
-    /// Whether the head has been fully received and parsed (the request
-    /// is mid-body). Lets callers distinguish "closed mid-request" from
-    /// "closed mid-body" on EOF.
-    pub fn head_complete(&self) -> bool {
-        self.head_end.is_some()
     }
 
     /// Whether any bytes of the current request have been examined.
@@ -327,67 +311,6 @@ fn parse_head(head: &[u8]) -> Result<ParsedHead, HttpError> {
     })
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
-}
-
-/// Re-arms the socket's read timeout to whatever is left until `deadline`.
-///
-/// This is what defeats slow-loris clients: a per-read timeout alone lets a
-/// client hold a worker forever by trickling one byte per interval, since
-/// every read "makes progress". Shrinking the timeout to the *remaining*
-/// total budget before each read bounds the whole request, no matter how
-/// the bytes are paced.
-fn arm_read(stream: &TcpStream, deadline: Instant) -> Result<(), HttpError> {
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Err(HttpError::Timeout);
-    }
-    stream
-        .set_read_timeout(Some(remaining))
-        .map_err(|e| HttpError::Malformed(format!("cannot set read timeout: {e}")))
-}
-
-/// Reads and parses one request from `stream`, spending at most
-/// `total_timeout` across *all* reads (head and body together); timeouts
-/// surface as [`HttpError::Timeout`]. Bodies larger than `max_body_bytes`
-/// are rejected from the `Content-Length` header alone, before the body
-/// is waited for.
-///
-/// This is the blocking convenience wrapper over [`RequestParser`] for
-/// tools and tests; the server's event loop drives the parser directly so
-/// pipelined bytes survive in the connection buffer. Here any bytes after
-/// the first request are dropped with the stream.
-pub fn read_request(
-    stream: &mut TcpStream,
-    max_body_bytes: usize,
-    total_timeout: Duration,
-) -> Result<Request, HttpError> {
-    let deadline = Instant::now() + total_timeout;
-    let mut parser = RequestParser::new();
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut scratch = [0u8; 4096];
-    loop {
-        match parser.step(&buf, max_body_bytes)? {
-            Parsed::Request { req, .. } => return Ok(req),
-            Parsed::NeedMore => {}
-        }
-        arm_read(stream, deadline)?;
-        match stream.read(&mut scratch) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Err(HttpError::Empty);
-                }
-                let at = if parser.head_complete() { "mid-body" } else { "mid-request" };
-                return Err(HttpError::Malformed(format!("connection closed {at}")));
-            }
-            Ok(n) => buf.extend_from_slice(&scratch[..n]),
-            Err(e) if is_timeout(&e) => return Err(HttpError::Timeout),
-            Err(e) => return Err(HttpError::Malformed(format!("read failed: {e}"))),
-        }
-    }
-}
-
 /// The canonical reason phrase for the status codes this server emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -435,39 +358,6 @@ pub fn render_response(
     out
 }
 
-/// Writes a complete `Connection: close` response. Write failures are
-/// returned so callers can count them, but the connection is torn down
-/// either way.
-pub fn respond(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(status, content_type, body, extra_headers, false))?;
-    stream.flush()
-}
-
-/// Reads and discards up to `limit` pending request bytes with a short
-/// timeout. Early-reject paths (413, 400, the acceptor's 503) answer
-/// without consuming the request; closing a socket with unread data makes
-/// the kernel send RST, which can destroy the client's copy of the
-/// response before it is read. A bounded drain turns the close into a
-/// clean FIN for any well-behaved client while still capping the bytes a
-/// hostile one can make us read.
-pub fn drain(stream: &mut TcpStream, limit: usize) {
-    let mut scratch = [0u8; 4096];
-    let mut total = 0usize;
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(250)));
-    while total < limit {
-        match stream.read(&mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => total += n,
-        }
-    }
-}
-
 /// Builds the `{"error": …}` JSON body used by every non-200 response.
 pub fn error_body(detail: &str) -> Vec<u8> {
     let mut out = String::with_capacity(detail.len() + 16);
@@ -490,18 +380,14 @@ pub fn error_body(detail: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
-    use std::time::Duration;
 
-    /// Runs `read_request` against raw bytes sent over a real socket pair.
+    /// Steps the parser once over `raw`, which must hold a whole request
+    /// (or a framing error).
     fn parse_raw(raw: &[u8], max_body: usize) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(raw).unwrap();
-        drop(client); // EOF after the payload
-        let (mut server_side, _) = listener.accept().unwrap();
-        read_request(&mut server_side, max_body, Duration::from_millis(2000))
+        match RequestParser::new().step(raw, max_body)? {
+            Parsed::Request { req, .. } => Ok(req),
+            Parsed::NeedMore => panic!("incomplete request: {raw:?}"),
+        }
     }
 
     /// Steps the incremental parser over `raw` split into `chunk`-byte
@@ -644,14 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_body_is_malformed_not_a_hang() {
-        let err = parse_raw(b"POST /brief HTTP/1.1\r\nContent-Length: 10\r\n\r\nhi", 1024)
-            .unwrap_err();
-        assert_eq!(err.status(), 400);
-        assert!(err.detail().contains("mid-body"));
-    }
-
-    #[test]
     fn incremental_parser_handles_any_split() {
         // Two pipelined requests, fed at every chunk size from 1 byte up:
         // the parser must produce both, with identical content, at every
@@ -725,74 +603,6 @@ mod tests {
             !req("Connection: keep-alive, close\r\n", "HTTP/1.1").wants_keep_alive(),
             "close wins over other tokens"
         );
-    }
-
-    #[test]
-    fn slow_client_times_out_with_408() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        // Send only a partial head, then stall (keep the socket open).
-        client.write_all(b"POST /brief HTTP/1.1\r\nContent-").unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
-        let err = read_request(&mut server_side, 1024, Duration::from_millis(50)).unwrap_err();
-        assert_eq!(err, HttpError::Timeout);
-        assert_eq!(err.status(), 408);
-        drop(client);
-    }
-
-    #[test]
-    fn slow_loris_client_cannot_outlive_the_total_deadline() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        // Trickle one header byte every 10ms: every individual read makes
-        // progress, so only a *total* deadline can end this request.
-        let dripper = std::thread::spawn(move || {
-            let mut client = client;
-            for b in b"POST /brief HTTP/1.1\r\nX-Padding: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa" {
-                if client.write_all(&[*b]).is_err() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        });
-        let (mut server_side, _) = listener.accept().unwrap();
-        let start = std::time::Instant::now();
-        let err = read_request(&mut server_side, 1024, Duration::from_millis(150)).unwrap_err();
-        assert_eq!(err, HttpError::Timeout, "trickled bytes must still hit the deadline");
-        assert!(
-            start.elapsed() < Duration::from_millis(600),
-            "total deadline must end the request promptly, took {:?}",
-            start.elapsed()
-        );
-        drop(server_side);
-        dripper.join().unwrap();
-    }
-
-    #[test]
-    fn empty_connection_owes_no_response() {
-        let err = parse_raw(b"", 1024).unwrap_err();
-        assert_eq!(err, HttpError::Empty);
-    }
-
-    #[test]
-    fn respond_writes_well_formed_response() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
-        respond(&mut server_side, 503, "application/json", b"{}", &[("Retry-After", "1")])
-            .unwrap();
-        drop(server_side);
-        let mut text = String::new();
-        let mut client = client;
-        client.read_to_string(&mut text).unwrap();
-        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{text}");
-        assert!(text.contains("Retry-After: 1\r\n"), "{text}");
-        assert!(text.contains("Content-Length: 2\r\n"), "{text}");
-        assert!(text.contains("Connection: close\r\n"), "{text}");
-        assert!(text.ends_with("\r\n\r\n{}"), "{text}");
     }
 
     #[test]

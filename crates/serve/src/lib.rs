@@ -19,7 +19,7 @@
 //!                                          └─► 503          ├─► replica ring (consistent hash)
 //!                                                           │     ├─ LRU cache ─► micro-batcher
 //!                                                           │     └─ circuit breaker
-//!                                                           └─► Briefer::brief_corpus
+//!                                                           └─► Briefer::brief_batch
 //! ```
 //!
 //! * **Event-loop I/O** — one thread multiplexes every connection with
@@ -41,7 +41,7 @@
 //!   hit the same hot cache and one lane's failures trip only its own
 //!   breaker.
 //! * **Micro-batching** — concurrent `/brief` requests on a replica drain
-//!   into a single [`wb_core::Briefer::brief_corpus`] call so they share
+//!   into a single [`wb_core::Briefer::brief_batch`] call so they share
 //!   one rayon fan-out; identical pages in a batch run the model once.
 //! * **Response cache** — an LRU keyed by page-content hash serves repeat
 //!   pages without re-running the model — hot hits answer inline on the
@@ -50,7 +50,8 @@
 //! * **Bounded everything** — oversized bodies get `413` (from the
 //!   `Content-Length` header alone), slow clients `408`, and a request
 //!   whose batch cannot finish inside the timeout `503`; a model panic
-//!   returns `500` to the affected requests and the server keeps serving.
+//!   returns `500` to that page's requests only and the server keeps
+//!   serving.
 //!
 //! ## Routes
 //!

@@ -2,7 +2,7 @@
 //!
 //! Each replica owns its own [`Batcher`] (drained by a dedicated executor
 //! thread), its own LRU response cache and its own circuit breaker; the
-//! model weights themselves are shared read-only (`brief_corpus` takes
+//! model weights themselves are shared read-only (`brief_batch` takes
 //! `&self` and is pure), so replicas cost threads and cache memory, not
 //! model copies. Requests are routed by a consistent-hash ring over the
 //! page-content hash: the same page always lands on the same replica, so

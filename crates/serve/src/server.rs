@@ -816,6 +816,9 @@ mod tests {
     use wb_core::{JointModel, JointVariant, ModelConfig};
     use wb_corpus::{Dataset, DatasetConfig};
 
+    // Every test that starts a server holds `wb_chaos::test_lock()`: the
+    // batch tests arm a fault point the executor passes through, and the
+    // pass counters are process-wide.
     fn tiny_briefer() -> Briefer {
         let d = Dataset::generate(&DatasetConfig::tiny());
         let cfg = ModelConfig::scaled(d.tokenizer.vocab().len());
@@ -923,6 +926,7 @@ mod tests {
 
     #[test]
     fn routes_brief_healthz_metrics_and_errors() {
+        let _chaos = wb_chaos::test_lock();
         let briefer = tiny_briefer();
         let expected =
             serde_json::to_string_pretty(&briefer.brief_html(PAGE).unwrap()).unwrap();
@@ -964,6 +968,7 @@ mod tests {
 
     #[test]
     fn keep_alive_reuses_one_connection_for_many_requests() {
+        let _chaos = wb_chaos::test_lock();
         let h = start(tiny_briefer(), test_config()).unwrap();
         let mut s = TcpStream::connect(h.addr()).unwrap();
         let raw = format!(
@@ -994,6 +999,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_are_all_answered_in_order() {
+        let _chaos = wb_chaos::test_lock();
         let h = start(tiny_briefer(), test_config()).unwrap();
         let mut s = TcpStream::connect(h.addr()).unwrap();
         // Two briefs and a health check written back-to-back before any
@@ -1020,6 +1026,7 @@ mod tests {
 
     #[test]
     fn brief_responses_carry_request_id_and_server_timing() {
+        let _chaos = wb_chaos::test_lock();
         let h = start(tiny_briefer(), test_config()).unwrap();
         let addr = h.addr();
         let raw = format!(
@@ -1051,6 +1058,7 @@ mod tests {
 
     #[test]
     fn varz_and_prometheus_routes_serve_live_views() {
+        let _chaos = wb_chaos::test_lock();
         let h = start(tiny_briefer(), test_config()).unwrap();
         let addr = h.addr();
         let (status, _) = post_brief(addr, PAGE);
@@ -1112,6 +1120,7 @@ mod tests {
 
     #[test]
     fn pprof_route_streams_collapsed_and_svg_captures() {
+        let _chaos = wb_chaos::test_lock();
         let _serial = PPROF_LOCK.lock().unwrap();
         let h = start(tiny_briefer(), test_config()).unwrap();
         let addr = h.addr();
@@ -1153,6 +1162,7 @@ mod tests {
 
     #[test]
     fn pprof_rejects_bad_params_and_concurrent_captures() {
+        let _chaos = wb_chaos::test_lock();
         let _serial = PPROF_LOCK.lock().unwrap();
         let h = start(tiny_briefer(), test_config()).unwrap();
         let addr = h.addr();
@@ -1183,6 +1193,7 @@ mod tests {
 
     #[test]
     fn control_plane_does_not_pollute_request_latency() {
+        let _chaos = wb_chaos::test_lock();
         // A fresh registry view is impossible (global), so measure deltas.
         let count_of = |name: &str| {
             wb_obs::metrics::snapshot().histograms.get(name).map(|h| h.count).unwrap_or(0)
@@ -1211,6 +1222,7 @@ mod tests {
 
     #[test]
     fn oversized_body_is_413() {
+        let _chaos = wb_chaos::test_lock();
         let mut cfg = test_config();
         cfg.max_body_bytes = 128;
         let h = start(tiny_briefer(), cfg).unwrap();
@@ -1222,6 +1234,7 @@ mod tests {
 
     #[test]
     fn overload_sheds_with_503_and_never_hangs() {
+        let _chaos = wb_chaos::test_lock();
         let mut cfg = test_config();
         cfg.workers = 1;
         cfg.queue_capacity = 1;
@@ -1244,6 +1257,7 @@ mod tests {
 
     #[test]
     fn concurrent_connections_exceed_worker_count_without_shedding() {
+        let _chaos = wb_chaos::test_lock();
         let mut cfg = test_config();
         cfg.workers = 2;
         cfg.queue_capacity = 64;
@@ -1267,6 +1281,7 @@ mod tests {
 
     #[test]
     fn shutdown_endpoint_signals_the_run_loop() {
+        let _chaos = wb_chaos::test_lock();
         let h = start(tiny_briefer(), test_config()).unwrap();
         let addr = h.addr();
         let poster =
@@ -1280,6 +1295,7 @@ mod tests {
 
     #[test]
     fn poll_shutdown_request_times_out_then_fires() {
+        let _chaos = wb_chaos::test_lock();
         let h = start(tiny_briefer(), test_config()).unwrap();
         let addr = h.addr();
         assert!(!h.poll_shutdown_request(Duration::from_millis(20)));
@@ -1293,6 +1309,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_504_before_the_model_runs() {
+        let _chaos = wb_chaos::test_lock();
         let mut cfg = test_config();
         cfg.cache_capacity = 0; // force the model path
         cfg.handler_delay_ms = 300; // the batch stalls past the deadline
@@ -1323,6 +1340,7 @@ mod tests {
 
     #[test]
     fn requests_shard_across_replicas_with_per_replica_caches() {
+        let _chaos = wb_chaos::test_lock();
         let mut cfg = test_config();
         cfg.replicas = 3;
         let h = start(tiny_briefer(), cfg).unwrap();
