@@ -138,6 +138,56 @@ fn every_variant_matches_the_golden_inference_outputs() {
     assert_golden("variants.txt", &out);
 }
 
+/// Ties every odd output token to the even token before it: the decoder's
+/// output projection gets pairwise-equal columns, so each pair's logits
+/// (and log-probabilities) are bit-equal at every step.
+fn tie_output_pairs(m: &mut JointModel) {
+    let id = m.params().find("dec.out.w").expect("joint decoder output weights");
+    let w = m.params_mut().get_mut(id);
+    let c = w.cols();
+    for row in w.data_mut().chunks_mut(c) {
+        for pair in row.chunks_exact_mut(2) {
+            pair[1] = pair[0];
+        }
+    }
+}
+
+/// Beam search at widths 1, 4, 20 and 200, with the untrained model and the
+/// one-epoch model, each as trained and with tied output pairs. The briefs
+/// only run the default width 4, and a plain model's log-probabilities
+/// almost never tie, so the tied models are what pin the tie order: a tie
+/// goes to the lower token id, and equal-scored hypotheses keep the order
+/// they were expanded in.
+#[test]
+fn beams_match_the_golden_file() {
+    let d = Dataset::generate(&DatasetConfig::tiny());
+    let cfg = ModelConfig::scaled(d.tokenizer.vocab().len());
+    let untrained = JointModel::new(JointVariant::JointWb, cfg, SEED);
+    let trained = Briefer::train(&d, TrainConfig::scaled(1), SEED);
+    let mut out = String::new();
+    for (label, params) in
+        [("untrained", untrained.params()), ("trained", trained.model().params())]
+    {
+        for tied in [false, true] {
+            for beam in [1, 4, 20, 200] {
+                let mut m =
+                    JointModel::new(JointVariant::JointWb, ModelConfig { beam, ..cfg }, SEED);
+                m.params_mut().copy_from(params);
+                if tied {
+                    tie_output_pairs(&mut m);
+                }
+                for idx in [0, 29, 58, 87] {
+                    let topic = m.generate(&d.examples[idx]);
+                    out.push_str(&format!(
+                        "{label} tied {tied} beam {beam} example {idx} topic {topic:?}\n"
+                    ));
+                }
+            }
+        }
+    }
+    assert_golden("beams.txt", &out);
+}
+
 /// FNV-1a over every parameter's name, shape and f32 bit pattern.
 fn params_digest(m: &JointModel) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
