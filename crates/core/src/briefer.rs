@@ -285,8 +285,15 @@ impl Briefer {
     /// ├── brief.wordpiece
     /// └── brief.infer            one per chunk; self time = brief assembly
     ///     ├── brief.encode       the one shared encoder pass
+    ///     │   ├── brief.embed    embedder + sentence representations
+    ///     │   ├── brief.lstm_e   token Bi-LSTM E
+    ///     │   ├── brief.lstm_g   sentence Bi-LSTM G
+    ///     │   └── brief.sections section predictor, C_E^b / C_G^b
     ///     ├── brief.generate     beam-searched topic (first chunk only)
-    ///     └── brief.extract      greedy topic states + tag head
+    ///     ├── brief.extract
+    ///     │   ├── brief.greedy   greedy topic states
+    ///     │   └── brief.tag_head extractor features + tag head
+    ///     └── brief.free         dropping the chunk's tape
     /// ```
     ///
     /// Spans time; they never alter the brief.

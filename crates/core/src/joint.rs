@@ -31,6 +31,12 @@ use wb_corpus::{Example, NUM_TAGS};
 use wb_nn::{BertConfig, BiLstm, Decoder, Dense, Embedder, EmbedderKind};
 use wb_tensor::{Graph, Initializer, ParamId, Params, Tensor, Var};
 
+/// A layer span under `brief.encode`, opened on inference graphs only:
+/// training runs the same encoder pass under `train.step`.
+fn layer_span(g: &Graph, name: &'static str) -> Option<wb_obs::span::SpanGuard> {
+    (!g.is_train()).then(|| wb_obs::span!(name))
+}
+
 /// The joint-model grid of Tables VIII/IX.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum JointVariant {
@@ -329,14 +335,23 @@ impl JointModel {
     /// the section-dependent `C_E^b` / `C_G^b`. The dropout calls are the
     /// identity on an inference graph.
     fn encode(&self, g: &mut Graph, ex: &Example) -> Encoded {
-        let shared = self.embedder.forward(g, &ex.tokens, &ex.sentence_of);
-        let sents = sentence_reps(g, &self.embedder, shared, ex);
+        let (shared, sents) = {
+            let _s = layer_span(g, "brief.embed");
+            let shared = self.embedder.forward(g, &ex.tokens, &ex.sentence_of);
+            (shared, sentence_reps(g, &self.embedder, shared, ex))
+        };
+        let c_e = {
+            let _s = layer_span(g, "brief.lstm_e");
+            let tok_d = g.dropout(shared, self.cfg.dropout);
+            self.e_bilstm.forward(g, tok_d)
+        };
+        let c_g = {
+            let _s = layer_span(g, "brief.lstm_g");
+            let sents_d = g.dropout(sents, self.cfg.dropout);
+            self.g_bilstm.forward(g, sents_d)
+        };
 
-        let tok_d = g.dropout(shared, self.cfg.dropout);
-        let c_e = self.e_bilstm.forward(g, tok_d);
-        let sents_d = g.dropout(sents, self.cfg.dropout);
-        let c_g = self.g_bilstm.forward(g, sents_d);
-
+        let _s = layer_span(g, "brief.sections");
         let z = self.variant.uses_section_predictor().then(|| self.section_scores(g, sents));
         let p_probs = z.map(|z| g.sigmoid(z));
         let c_e_b = match (&self.sec_e, p_probs) {
@@ -488,7 +503,11 @@ impl JointModel {
     /// BIO tags off an encoded chunk: a greedy first decode supplies the
     /// topic states the extractor attends to.
     fn tags(&self, g: &mut Graph, enc: &Encoded, ex: &Example) -> Vec<u8> {
-        let (_, q) = self.decoder.greedy_with_states(g, enc.c_g_b, self.cfg.max_topic_len);
+        let q = {
+            let _s = wb_obs::span!("brief.greedy");
+            self.decoder.greedy_with_states(g, enc.c_g_b, self.cfg.max_topic_len).1
+        };
+        let _s = wb_obs::span!("brief.tag_head");
         let logits = self.extractor_logits(g, enc, q, ex);
         g.value(logits).argmax_rows().iter().map(|&t| t as u8).collect()
     }
@@ -510,9 +529,13 @@ impl JointModel {
             let _s = wb_obs::span!("brief.generate");
             self.beam_topic(&mut g, &enc)
         });
-        let _s = wb_obs::span!("brief.extract");
-        let tags = self.tags(&mut g, &enc, ex);
-        Inference { topic, tags, sections: Self::sections(&g, &enc) }
+        let (tags, sections) = {
+            let _s = wb_obs::span!("brief.extract");
+            (self.tags(&mut g, &enc, ex), Self::sections(&g, &enc))
+        };
+        let _s = wb_obs::span!("brief.free");
+        drop(g);
+        Inference { topic, tags, sections }
     }
 
     /// Predicted BIO tags.

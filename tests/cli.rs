@@ -367,6 +367,75 @@ fn brief_runs_one_encoder_pass_per_chunk() {
     let _ = std::fs::remove_file(metrics);
 }
 
+/// The layer spans account for a page's time: the container spans
+/// (`brief.page`, `brief.infer`, `brief.encode`, `brief.extract`) keep at
+/// most 5% of `brief.page` as their own self time, so every layer a page
+/// spends time in has a span of its own.
+#[test]
+fn layer_spans_cover_the_page_time() {
+    let dir = std::env::temp_dir().join("wb_cli_layer_spans");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let corpus = dir.join("corpus");
+    let model = dir.join("model.json");
+    let metrics = dir.join("metrics.json");
+    let out = wb()
+        .args(["train", "--out", model.to_str().unwrap(), "--epochs", "1"])
+        .args(["--subjects", "1", "--pages", "2"])
+        .output()
+        .expect("run wb train");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = wb()
+        .args([
+            "generate",
+            "--out",
+            corpus.to_str().unwrap(),
+            "--subjects",
+            "2",
+            "--pages",
+            "8",
+        ])
+        .output()
+        .expect("run wb generate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut pages: Vec<_> = std::fs::read_dir(&corpus)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "html"))
+        .collect();
+    pages.sort();
+    let out = wb()
+        .args(["brief", "--model", model.to_str().unwrap(), "--json"])
+        .args(["--metrics-out", metrics.to_str().unwrap()])
+        .args(&pages)
+        .output()
+        .expect("run wb brief --metrics-out");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let text = std::fs::read_to_string(&metrics).expect("metrics file written");
+    let v: serde_json::Value = serde_json::from_str(&text).expect("metrics are valid JSON");
+    let Some(serde_json::Value::Obj(spans)) = v.get("spans") else {
+        panic!("no spans object: {text}");
+    };
+    let sum = |leaves: &[&str], field: &str| -> f64 {
+        spans
+            .iter()
+            .filter(|(path, _)| leaves.contains(&path.rsplit('/').next().unwrap()))
+            .filter_map(|(_, s)| s.get(field).and_then(|n| n.as_f64()))
+            .sum()
+    };
+    let page_ns = sum(&["brief.page"], "total_ns");
+    let containers = ["brief.page", "brief.infer", "brief.encode", "brief.extract"];
+    let container_self_ns = sum(&containers, "self_ns");
+    assert!(page_ns > 0.0, "no brief.page time: {text}");
+    assert!(
+        container_self_ns <= 0.05 * page_ns,
+        "container spans keep {:.1}% of brief.page as self time: {text}",
+        100.0 * container_self_ns / page_ns
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bench_quick_writes_report_and_gates_regressions() {
     let report = std::env::temp_dir().join("wb_cli_bench.json");
