@@ -37,4 +37,4 @@ mod seq2seq;
 pub use bert::{BertConfig, Embedder, EmbedderKind, MiniBert};
 pub use layers::{BilinearAttention, Dense, Embedding};
 pub use lstm::{BiLstm, Lstm, LstmState};
-pub use seq2seq::{zero_memory, Decoder};
+pub use seq2seq::Decoder;

@@ -1,8 +1,13 @@
 //! LSTM and Bi-LSTM layers [22].
 //!
 //! The input-to-hidden products for a full sequence are computed as four
-//! `[T, h]` matmuls up front; the recurrent loop then only does the four
-//! `[1, h] @ [h, h]` hidden-to-hidden products per step.
+//! `[T, h]` matmuls up front; each step of the recurrent loop is then one
+//! [`Graph::lstm_cell`] tape op, which reads its row of those products and
+//! does the four `[1, h] @ [h, h]` hidden-to-hidden products, the gate
+//! activations and the state update in one pass, with a hand-written
+//! backward. A step records two tape nodes (`h` and `c`), in training and
+//! at inference alike. The parameters stay per gate
+//! (`name.{wx,wh,b}.{i,f,g,o}`), so checkpoints keep their format.
 
 use rand::rngs::StdRng;
 use wb_tensor::{Graph, Initializer, ParamId, Params, Tensor, Var};
@@ -57,36 +62,21 @@ impl Lstm {
         }
     }
 
-    /// One step given the four precomputed input projections `xg[k]`
-    /// (each `[1, hidden]`, bias already added).
-    fn step_precomputed(&self, g: &mut Graph, xg: [Var; 4], state: LstmState) -> LstmState {
-        let mut gates = [state.h; 4];
-        for k in 0..4 {
-            let wh = g.param(self.wh[k]);
-            let hh = g.matmul(state.h, wh);
-            gates[k] = g.add(xg[k], hh);
-        }
-        let i = g.sigmoid(gates[0]);
-        let f = g.sigmoid(gates[1]);
-        let cand = g.tanh(gates[2]);
-        let o = g.sigmoid(gates[3]);
-        let fc = g.mul(f, state.c);
-        let ig = g.mul(i, cand);
-        let c = g.add(fc, ig);
-        let tc = g.tanh(c);
-        let h = g.mul(o, tc);
-        LstmState { h, c }
-    }
-
-    /// One step from a raw input row `x: [1, input]`.
-    pub fn step(&self, g: &mut Graph, x: Var, state: LstmState) -> LstmState {
-        let xg = [0, 1, 2, 3].map(|k| {
+    /// The four gate input projections `x·Wx_k + b_k`, each `[rows, hidden]`.
+    fn input_gates(&self, g: &mut Graph, x: Var) -> [Var; 4] {
+        [0, 1, 2, 3].map(|k| {
             let wx = g.param(self.wx[k]);
             let b = g.param(self.b[k]);
             let xw = g.matmul(x, wx);
             g.add_bias(xw, b)
-        });
-        self.step_precomputed(g, xg, state)
+        })
+    }
+
+    /// One step from a raw input row `x: [1, input]`.
+    pub fn step(&self, g: &mut Graph, x: Var, state: LstmState) -> LstmState {
+        let xg = self.input_gates(g, x);
+        let (h, c) = g.lstm_cell(xg, 0, state.h, state.c, self.wh);
+        LstmState { h, c }
     }
 
     /// Runs over a `[T, input]` sequence, returning `[T, hidden]` outputs.
@@ -96,19 +86,14 @@ impl Lstm {
         let t_len = g.value(x).rows();
         assert!(t_len > 0, "LSTM over empty sequence");
         // Precompute X·Wx + b for each gate: [T, hidden].
-        let pre: [Var; 4] = [0, 1, 2, 3].map(|k| {
-            let wx = g.param(self.wx[k]);
-            let b = g.param(self.b[k]);
-            let xw = g.matmul(x, wx);
-            g.add_bias(xw, b)
-        });
+        let pre = self.input_gates(g, x);
         let mut state = self.zero_state(g);
         let mut outputs: Vec<Var> = Vec::with_capacity(t_len);
         for step in 0..t_len {
             let t = if reverse { t_len - 1 - step } else { step };
-            let xg = pre.map(|p| g.slice_rows(p, t, t + 1));
-            state = self.step_precomputed(g, xg, state);
-            outputs.push(state.h);
+            let (h, c) = g.lstm_cell(pre, t, state.h, state.c, self.wh);
+            state = LstmState { h, c };
+            outputs.push(h);
         }
         if reverse {
             outputs.reverse();

@@ -5,7 +5,8 @@
 use crate::layers::Dense;
 use crate::lstm::{Lstm, LstmState};
 use rand::rngs::StdRng;
-use wb_tensor::{Graph, Params, Tensor, Var};
+use std::cmp::Ordering;
+use wb_tensor::{Graph, Params, Var};
 use wb_text::{BOS, EOS};
 
 /// The decoder half of a seq2seq model. The encoder lives with the caller
@@ -157,24 +158,6 @@ impl Decoder {
         (out, g.concat_rows(&hiddens))
     }
 
-    /// Greedy decoding until `[EOS]` or `max_len`.
-    pub fn greedy(&self, g: &mut Graph, memory: Var, max_len: usize) -> Vec<u32> {
-        let mut state = self.zero_state(g);
-        let mut out = Vec::new();
-        let mut prev = BOS;
-        for _ in 0..max_len {
-            let (logits, next) = self.step(g, prev, state, memory);
-            let id = g.value(logits).argmax() as u32;
-            if id == EOS {
-                break;
-            }
-            out.push(id);
-            state = next;
-            prev = id;
-        }
-        out
-    }
-
     /// Beam-search decoding (§IV-A5: "we use beam search in the inference
     /// process"); returns the best hypothesis without `[EOS]`.
     pub fn beam_search(
@@ -214,11 +197,7 @@ impl Decoder {
                 let (logits, next) = self.step(g, h.prev, h.state, memory);
                 let logp = log_softmax_row(g.value(logits).data());
                 // Keep the top `beam` expansions of this hypothesis.
-                let mut idx: Vec<usize> = (0..logp.len()).collect();
-                idx.sort_by(|&a, &b| {
-                    logp[b].partial_cmp(&logp[a]).unwrap_or(std::cmp::Ordering::Equal)
-                });
-                for &token in idx.iter().take(beam) {
+                for token in top_k(&logp, beam) {
                     let token = token as u32;
                     let mut tokens = h.tokens.clone();
                     let done = token == EOS;
@@ -235,12 +214,12 @@ impl Decoder {
                 }
             }
             candidates.sort_by(|a, b| {
-                b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal)
+                b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal)
             });
             candidates.truncate(beam);
             hyps = candidates;
         }
-        hyps.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+        hyps.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal));
         hyps.into_iter().next().map(|h| h.tokens).unwrap_or_default()
     }
 }
@@ -251,23 +230,94 @@ fn log_softmax_row(row: &[f32]) -> Vec<f32> {
     row.iter().map(|&x| x - max - log_sum).collect()
 }
 
-/// Convenience for callers: a zero memory matrix for decoders used without
-/// an encoder (unit tests).
-pub fn zero_memory(g: &mut Graph, rows: usize, dim: usize) -> Var {
-    g.input(Tensor::zeros(&[rows, dim]))
+/// The indices of the `k` largest scores, best first: exactly the first
+/// `k` of a stable descending sort of `scores` that treats incomparable
+/// pairs as equal, so a tie goes to the lower index. A [`log_softmax_row`]
+/// output is either free of NaN or all NaN (one NaN logit poisons the log
+/// normaliser); an all-NaN row therefore comes back as `0, 1, …, k − 1`.
+/// One pass over the row keeps the best `k` so far in order, and most
+/// scores cost one comparison against the worst of them.
+fn top_k(scores: &[f32], k: usize) -> Vec<usize> {
+    let mut best: Vec<usize> = Vec::with_capacity(k.min(scores.len()) + 1);
+    for (i, &s) in scores.iter().enumerate() {
+        // `i` ranks before `b` only if strictly greater: every kept index
+        // is lower than `i`, so it wins a tie.
+        let after = |&b: &usize| s.partial_cmp(&scores[b]) != Some(Ordering::Greater);
+        if best.len() == k && best.last().is_none_or(after) {
+            continue;
+        }
+        let at = best.partition_point(after);
+        best.insert(at, i);
+        best.truncate(k);
+    }
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use wb_tensor::{Adam, AdamConfig, Gradients};
+    use rand::{Rng, SeedableRng};
+    use wb_tensor::{Adam, AdamConfig, Gradients, Tensor};
+
+    /// A zero memory matrix, for a decoder used without an encoder.
+    fn zero_memory(g: &mut Graph, rows: usize, dim: usize) -> Var {
+        g.input(Tensor::zeros(&[rows, dim]))
+    }
+
+    fn greedy(d: &Decoder, g: &mut Graph, memory: Var, max_len: usize) -> Vec<u32> {
+        d.greedy_with_states(g, memory, max_len).0
+    }
 
     fn decoder(vocab: usize) -> (Params, Decoder) {
         let mut rng = StdRng::seed_from_u64(0);
         let mut params = Params::new();
         let d = Decoder::new(&mut params, &mut rng, "dec", vocab, 8, 8, 8);
         (params, d)
+    }
+
+    /// The first `k` of the stable descending sort `beam_search` used to
+    /// run over the whole vocabulary.
+    fn sorted_prefix(scores: &[f32], k: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..scores.len()).collect();
+        idx.sort_by(|&a, &b| {
+            scores[b].partial_cmp(&scores[a]).unwrap_or(Ordering::Equal)
+        });
+        idx.truncate(k);
+        idx
+    }
+
+    /// `top_k` returns exactly the sorted prefix on random rows with many
+    /// exact ties and `-inf` entries, before and after `log_softmax_row`,
+    /// and on all-NaN rows, at the beam widths in use and past the row
+    /// length.
+    #[test]
+    fn top_k_matches_the_stable_sort() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut rows: Vec<Vec<f32>> = Vec::new();
+        for _ in 0..150 {
+            let len = rng.gen_range(1..700);
+            // Few distinct levels, so most scores tie with many others.
+            let levels = rng.gen_range(1..12);
+            let row: Vec<f32> = (0..len)
+                .map(|_| match rng.gen_range(0..10) {
+                    0 => f32::NEG_INFINITY,
+                    _ => rng.gen_range(0..levels) as f32 * 0.5,
+                })
+                .collect();
+            rows.push(log_softmax_row(&row));
+            rows.push(row);
+        }
+        // One NaN logit, or nothing but -inf, makes the whole row NaN.
+        rows.push(log_softmax_row(&[0.5, f32::NAN, 1.0, -2.0, 1.0]));
+        rows.push(log_softmax_row(&[f32::NEG_INFINITY; 300]));
+        assert!(rows.iter().any(|r| r.iter().all(|x| x.is_nan())));
+        for row in &rows {
+            let nans = row.iter().filter(|x| x.is_nan()).count();
+            assert!(nans == 0 || nans == row.len(), "mixed NaN row");
+            for k in [1, 4, 20, 200, row.len() + 1] {
+                assert_eq!(top_k(row, k), sorted_prefix(row, k), "k {k} row {row:?}");
+            }
+        }
     }
 
     #[test]
@@ -284,7 +334,7 @@ mod tests {
         let (params, d) = decoder(12);
         let mut g = Graph::new(&params, false, 0);
         let mem = zero_memory(&mut g, 3, 8);
-        let out = d.greedy(&mut g, mem, 5);
+        let out = greedy(&d, &mut g, mem, 5);
         assert!(out.len() <= 5);
     }
 
@@ -293,9 +343,9 @@ mod tests {
         let (params, d) = decoder(12);
         let mut g = Graph::new(&params, false, 0);
         let mem = zero_memory(&mut g, 3, 8);
-        let greedy = d.greedy(&mut g, mem, 4);
+        let by_greedy = greedy(&d, &mut g, mem, 4);
         let beam = d.beam_search(&mut g, mem, 1, 4);
-        assert_eq!(greedy, beam);
+        assert_eq!(by_greedy, beam);
     }
 
     /// The decoder must be able to memorise a fixed output sequence — the
@@ -318,7 +368,7 @@ mod tests {
         }
         let mut g = Graph::new(&params, false, 0);
         let mem = zero_memory(&mut g, 2, 8);
-        assert_eq!(d.greedy(&mut g, mem, 6), vec![7, 9, 8]);
+        assert_eq!(greedy(&d, &mut g, mem, 6), vec![7, 9, 8]);
         assert_eq!(d.beam_search(&mut g, mem, 4, 6), vec![7, 9, 8]);
     }
 
@@ -386,7 +436,7 @@ mod tests {
         let mut g = Graph::new(&params, false, 0);
         let ma = g.input(mem_a.clone());
         let mb = g.input(mem_b.clone());
-        assert_eq!(d.greedy(&mut g, ma, 3), vec![7]);
-        assert_eq!(d.greedy(&mut g, mb, 3), vec![9]);
+        assert_eq!(greedy(&d, &mut g, ma, 3), vec![7]);
+        assert_eq!(greedy(&d, &mut g, mb, 3), vec![9]);
     }
 }

@@ -102,6 +102,23 @@ enum Op {
         gain: Var,
         inv_rms: Vec<f32>,
     },
+    /// One fused LSTM step (see [`Graph::lstm_cell`]). Its value is the new
+    /// hidden state; the [`Op::LstmCellState`] node just before it holds
+    /// the new cell state.
+    LstmCell {
+        /// The `[T, hidden]` input pre-activations of the i, f, g, o gates.
+        gates_x: [Var; 4],
+        /// The row of `gates_x` this step reads.
+        row: usize,
+        h: Var,
+        c: Var,
+        wh: [ParamId; 4],
+        /// `[5, hidden]`: the i, f, g, o gate activations, then `tanh(c')`.
+        acts: Tensor,
+    },
+    /// The new cell state of the [`Op::LstmCell`] node that follows it;
+    /// that node's backward consumes this node's gradient.
+    LstmCellState,
 }
 
 struct Node {
@@ -200,8 +217,13 @@ impl Drop for Graph<'_> {
     fn drop(&mut self) {
         wb_obs::gauge_max!("tensor.graph.tape_bytes.peak", self.tape_bytes as f64);
         wb_obs::gauge_max!("tensor.graph.nodes.peak", self.nodes.len() as f64);
-        for value in self.nodes.drain(..).filter_map(|node| node.value) {
-            scratch::put(value.into_data());
+        for node in self.nodes.drain(..) {
+            if let Some(value) = node.value {
+                scratch::put(value.into_data());
+            }
+            if let Op::LstmCell { acts, .. } = node.op {
+                scratch::put(acts.into_data());
+            }
         }
         scratch::publish();
     }
@@ -251,8 +273,9 @@ impl<'p> Graph<'p> {
         Var(self.nodes.len() - 1)
     }
 
-    /// Bytes held by the tape's owned node values so far (parameter leaves
-    /// add nothing).
+    /// Bytes held by the tape's owned node values so far, plus the gate
+    /// activations fused LSTM cells keep for backward (parameter leaves add
+    /// nothing).
     pub fn tape_bytes(&self) -> usize {
         self.tape_bytes
     }
@@ -536,6 +559,122 @@ impl<'p> Graph<'p> {
         self.push(out, Op::RmsNormRows { src, gain, inv_rms })
     }
 
+    /// One LSTM step as one tape op: from the gates' input pre-activations
+    /// (row `row` of each `[T, hidden]` var in `gates_x`, bias included),
+    /// the state `h`, `c` (each `[1, hidden]`) and the per-gate recurrent
+    /// weights `wh` (`[hidden, hidden]` each), computes
+    ///
+    /// ```text
+    /// i, f, o = σ(x_k + h·Wh_k)    g = tanh(x_g + h·Wh_g)
+    /// c' = f ⊙ c + i ⊙ g           h' = o ⊙ tanh(c')
+    /// ```
+    ///
+    /// and returns `(h', c')`. Every element takes the same operations in
+    /// the same order as the chain of `matmul`, `add`, `sigmoid`, `tanh`
+    /// and `mul` nodes this replaces, and the four `h·Wh` products go
+    /// through [`Tensor::matmul_into`], so values, gradients and the matmul
+    /// counters are bit-for-bit those of that chain. It records two nodes
+    /// instead of 21 (25 with the four `slice_rows` that picked the row)
+    /// and keeps only the five activation rows for backward.
+    pub fn lstm_cell(
+        &mut self,
+        gates_x: [Var; 4],
+        row: usize,
+        h: Var,
+        c: Var,
+        wh: [ParamId; 4],
+    ) -> (Var, Var) {
+        let n = self.value(h).cols();
+        for x in gates_x {
+            let x = self.value(x);
+            assert!(x.cols() == n && row < x.rows(), "gate input {:?} row {row}", x.shape());
+        }
+        let mut acts = Tensor::from_vec(&[5, n], scratch::zeroed(5 * n));
+        let mut h_new = Tensor::from_vec(&[1, n], scratch::zeroed(n));
+        let mut c_new = Tensor::from_vec(&[1, n], scratch::zeroed(n));
+        for (k, act) in acts.data_mut().chunks_mut(n).take(4).enumerate() {
+            // `h_new` holds h·Wh_k until the last loop overwrites it.
+            self.value(h).matmul_into(self.params.get(wh[k]), false, false, &mut h_new);
+            let x = self.value(gates_x[k]).row(row);
+            for ((a, &xv), &hv) in act.iter_mut().zip(x).zip(h_new.data()) {
+                let z = xv + hv;
+                *a = if k == 2 { z.tanh() } else { 1.0 / (1.0 + (-z).exp()) };
+            }
+        }
+        let (gates, tanh_c) = acts.data_mut().split_at_mut(4 * n);
+        let c_old = self.value(c).data();
+        for j in 0..n {
+            let (i, f, g, o) = (gates[j], gates[n + j], gates[2 * n + j], gates[3 * n + j]);
+            let cj = f * c_old[j] + i * g;
+            tanh_c[j] = cj.tanh();
+            c_new.data_mut()[j] = cj;
+            h_new.data_mut()[j] = o * tanh_c[j];
+        }
+        let c_var = self.push(c_new, Op::LstmCellState);
+        self.tape_bytes += acts.len() * std::mem::size_of::<f32>();
+        let h_var = self.push(h_new, Op::LstmCell { gates_x, row, h, c, wh, acts });
+        (h_var, c_var)
+    }
+
+    /// Backward of the [`Op::LstmCell`] node `cell`, given the gradients
+    /// of its two outputs. It replays the unfused chain's backward: the
+    /// same per-element products, the same matmuls, and every contribution
+    /// accumulated into the same slot in the same order (the hidden state
+    /// gets the output gate's first, then g, f, i), so gradients are
+    /// bit-identical. The output gate gets no gradient when `h'` has none,
+    /// as in the chain.
+    fn lstm_cell_backward(
+        &self,
+        cell: Var,
+        d_h: Option<Tensor>,
+        d_c_later: Option<Tensor>,
+        grads: &mut [Option<Tensor>],
+        out: &mut Gradients,
+    ) {
+        let Op::LstmCell { gates_x, row, h, c, wh, acts } = &self.nodes[cell.0].op else {
+            unreachable!("not an LSTM cell node");
+        };
+        let n = acts.cols();
+        let act = |r: usize| acts.row(r);
+        let (ai, af, ag, ao, atc) = (act(0), act(1), act(2), act(3), act(4));
+        let c_old = self.value(*c).data();
+        let mut d_gates = [(); 4].map(|_| Tensor::zeros(&[1, n]));
+        let mut d_c_old = Tensor::zeros(&[1, n]);
+        for j in 0..n {
+            let (i, f, g, o, tc) = (ai[j], af[j], ag[j], ao[j], atc[j]);
+            // h' = o ⊙ tanh(c'): the output gate's and tanh(c')'s gradients.
+            let from_h = d_h.as_ref().map(|d| (d.data()[j] * tc, d.data()[j] * o));
+            let d_c = match (&d_c_later, from_h) {
+                (Some(l), Some((_, d_tc))) => l.data()[j] + d_tc * (1.0 - tc * tc),
+                (None, Some((_, d_tc))) => d_tc * (1.0 - tc * tc),
+                (Some(l), None) => l.data()[j],
+                (None, None) => unreachable!("a cell without gradient is skipped"),
+            };
+            // c' = f ⊙ c + i ⊙ g.
+            let (d_i, d_g, d_f) = (d_c * g, d_c * i, d_c * c_old[j]);
+            d_c_old.data_mut()[j] = d_c * f;
+            if let Some((d_o, _)) = from_h {
+                d_gates[3].data_mut()[j] = d_o * o * (1.0 - o);
+            }
+            d_gates[2].data_mut()[j] = d_g * (1.0 - g * g);
+            d_gates[1].data_mut()[j] = d_f * f * (1.0 - f);
+            d_gates[0].data_mut()[j] = d_i * i * (1.0 - i);
+        }
+        accumulate(grads, *c, &d_c_old);
+        let gates = if d_h.is_some() { 4 } else { 3 };
+        for k in (0..gates).rev() {
+            let shape = self.value(gates_x[k]).shape();
+            accumulate_row(grads, gates_x[k], shape, *row, &d_gates[k]);
+            let d_hidden = d_gates[k].matmul(self.params.get(wh[k]), false, true);
+            let d_wh = self.value(*h).matmul(&d_gates[k], true, false);
+            accumulate(grads, *h, &d_hidden);
+            match &mut out.by_param[wh[k].index()] {
+                Some(acc) => acc.add_assign_scaled(&d_wh, 1.0),
+                slot @ None => *slot = Some(d_wh),
+            }
+        }
+    }
+
     /// Runs the backward pass from scalar `loss` and returns parameter
     /// gradients.
     ///
@@ -548,11 +687,21 @@ impl<'p> Graph<'p> {
         let mut out = Gradients::zeros(self.params);
 
         for i in (0..self.nodes.len()).rev() {
+            let node = &self.nodes[i];
+            if let Op::LstmCell { .. } = node.op {
+                // The cell's state output is the node just before it; every
+                // consumer of either output comes later on the tape, so both
+                // gradients are complete here.
+                let (d_h, d_c) = (grads[i].take(), grads[i - 1].take());
+                if d_h.is_some() || d_c.is_some() {
+                    self.lstm_cell_backward(Var(i), d_h, d_c, &mut grads, &mut out);
+                }
+                continue;
+            }
             let g = match grads[i].take() {
                 Some(g) => g,
                 None => continue,
             };
-            let node = &self.nodes[i];
             // This node's forward value.
             let y = self.value(Var(i));
             match &node.op {
@@ -854,6 +1003,9 @@ impl<'p> Graph<'p> {
                     let gain_shape = gv.shape().to_vec();
                     accumulate(&mut grads, *gain, &Tensor::from_vec(&gain_shape, gg));
                 }
+                Op::LstmCell { .. } | Op::LstmCellState => {
+                    unreachable!("the cell's backward takes both gradients")
+                }
             }
         }
         out
@@ -893,6 +1045,8 @@ impl Graph<'_> {
                     stats.matmul_flops += value.len() * inner;
                     let _ = b;
                 }
+                // The four [1, h] · [h, h] products the cell absorbed.
+                Op::LstmCell { .. } => stats.matmul_flops += 4 * value.len() * value.len(),
                 _ => {}
             }
         }
@@ -931,6 +1085,8 @@ fn op_name(op: &Op) -> &'static str {
         Op::KlDiv { .. } => "kl_div",
         Op::L1ToConst { .. } => "l1_to_const",
         Op::RmsNormRows { .. } => "rms_norm",
+        Op::LstmCell { .. } => "lstm_cell",
+        Op::LstmCellState => "lstm_cell_state",
     }
 }
 
@@ -938,5 +1094,39 @@ fn accumulate(grads: &mut [Option<Tensor>], v: Var, g: &Tensor) {
     match &mut grads[v.0] {
         Some(acc) => acc.add_assign_scaled(g, 1.0),
         slot @ None => *slot = Some(g.clone()),
+    }
+}
+
+/// Accumulates the one-row gradient `g` into row `row` of `v`'s gradient
+/// (`v` has `shape`) exactly as a `slice_rows` node's backward would: a
+/// first contribution is zeros with `g` in that row, and a later one also
+/// adds `0.0` to every other row (which turns a `-0.0` there into `+0.0`).
+fn accumulate_row(
+    grads: &mut [Option<Tensor>],
+    v: Var,
+    shape: &[usize],
+    row: usize,
+    g: &Tensor,
+) {
+    let c = g.len();
+    match &mut grads[v.0] {
+        Some(acc) => {
+            for (r, acc_row) in acc.data_mut().chunks_mut(c).enumerate() {
+                if r == row {
+                    for (a, &x) in acc_row.iter_mut().zip(g.data()) {
+                        *a += x;
+                    }
+                } else {
+                    for a in acc_row {
+                        *a += 0.0;
+                    }
+                }
+            }
+        }
+        slot @ None => {
+            let mut t = Tensor::zeros(shape);
+            t.data_mut()[row * c..(row + 1) * c].copy_from_slice(g.data());
+            *slot = Some(t);
+        }
     }
 }
