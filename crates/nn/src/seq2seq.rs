@@ -213,9 +213,7 @@ impl Decoder {
                     });
                 }
             }
-            candidates.sort_by(|a, b| {
-                b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal)
-            });
+            candidates.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal));
             candidates.truncate(beam);
             hyps = candidates;
         }
@@ -279,9 +277,7 @@ mod tests {
     /// run over the whole vocabulary.
     fn sorted_prefix(scores: &[f32], k: usize) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..scores.len()).collect();
-        idx.sort_by(|&a, &b| {
-            scores[b].partial_cmp(&scores[a]).unwrap_or(Ordering::Equal)
-        });
+        idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap_or(Ordering::Equal));
         idx.truncate(k);
         idx
     }

@@ -6,11 +6,17 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wb_tensor::{Graph, Params, Tensor};
+use wb_tensor::{Graph, ParamId, Params, Tensor, Var};
 
 /// Builds params with one tensor `w` of `shape`, evaluates `f` to a scalar
 /// loss, and compares analytic vs numeric gradients.
-fn check(shape: &[usize], f: impl Fn(&mut Graph, wb_tensor::Var) -> wb_tensor::Var) {
+fn check(shape: &[usize], f: impl Fn(&mut Graph, Var) -> Var) {
+    check_with_id(shape, |g, wv, _| f(g, wv));
+}
+
+/// [`check`] for a loss that also reads `w` by id, as ops that take
+/// parameter ids (`Graph::lstm_cell`) do.
+fn check_with_id(shape: &[usize], f: impl Fn(&mut Graph, Var, ParamId) -> Var) {
     let mut rng = StdRng::seed_from_u64(42);
     let n: usize = shape.iter().product();
     let data: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -20,7 +26,7 @@ fn check(shape: &[usize], f: impl Fn(&mut Graph, wb_tensor::Var) -> wb_tensor::V
     let analytic = {
         let mut g = Graph::new(&params, false, 0);
         let wv = g.param(w);
-        let loss = f(&mut g, wv);
+        let loss = f(&mut g, wv, w);
         assert_eq!(g.value(loss).len(), 1, "loss must be scalar");
         g.backward(loss)
     };
@@ -30,7 +36,7 @@ fn check(shape: &[usize], f: impl Fn(&mut Graph, wb_tensor::Var) -> wb_tensor::V
     let eval = |params: &Params| -> f32 {
         let mut g = Graph::new(params, false, 0);
         let wv = g.param(w);
-        let loss = f(&mut g, wv);
+        let loss = f(&mut g, wv, w);
         g.value(loss).item()
     };
     for i in 0..n {
@@ -254,6 +260,25 @@ fn fused_softmax_matmul_matches_unfused_bit_for_bit() {
             "fused op diverged at scale={scale} temperature={temperature}"
         );
     }
+}
+
+/// Two fused LSTM steps where `w` is every gate's recurrent weight and,
+/// scaled, the gate inputs and the initial state, so each gradient path of
+/// the cell's backward reaches it.
+#[test]
+fn grad_lstm_cell() {
+    check_with_id(&[3, 3], |g, w, id| {
+        let gates = [0.5, -1.0, 0.75, 1.5].map(|k| g.scale(w, k));
+        let h0 = g.slice_rows(w, 0, 1);
+        let c0 = g.slice_rows(w, 2, 3);
+        let (h1, c1) = g.lstm_cell(gates, 1, h0, c0, [id; 4]);
+        let (h2, c2) = g.lstm_cell(gates, 2, h1, c1, [id; 4]);
+        let y = g.concat_cols(&[h1, h2, c2]);
+        let t = g.tanh(y);
+        let s = g.scale(t, 1.7);
+        let sq = g.mul(s, t);
+        g.sum_all(sq)
+    });
 }
 
 #[test]
