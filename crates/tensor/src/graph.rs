@@ -585,6 +585,10 @@ impl<'p> Graph<'p> {
         wh: [ParamId; 4],
     ) -> (Var, Var) {
         let n = self.value(h).cols();
+        assert!(
+            self.value(h).rows() == 1 && self.value(c).shape() == [1, n],
+            "LSTM state must be two [1, {n}] rows"
+        );
         for x in gates_x {
             let x = self.value(x);
             assert!(x.cols() == n && row < x.rows(), "gate input {:?} row {row}", x.shape());
