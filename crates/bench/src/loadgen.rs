@@ -539,7 +539,7 @@ mod tests {
         let report = to_bench_report("serve", &[ka, cl]);
         let parsed = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
-        let cmp = crate::perf::compare(&report, &parsed, 1.0);
+        let cmp = crate::perf::compare(&report, &parsed);
         assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
         let speedup = report.workloads["serve_compare"].metrics["keepalive_speedup"].value;
         assert!((speedup - 4.0).abs() < 1e-9, "100rps vs 25rps = 4x, got {speedup}");

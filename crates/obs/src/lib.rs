@@ -72,9 +72,8 @@
 //! Instrumentation reads the clock and bumps atomics; it never touches
 //! model math, RNG draws or parallel reduction order, so any observable
 //! output of the system is byte-identical with observability on or off
-//! (asserted by `tests/cli.rs`). [`set_enabled`]`(false)` reduces every
-//! record to a single atomic load; compiling with the `off` feature
-//! removes even that.
+//! (asserted by `tests/cli.rs`). Compiling with the `off` feature reduces
+//! every record to nothing.
 
 pub mod alloc;
 pub mod flame;
@@ -90,28 +89,11 @@ pub mod span;
 pub mod trace;
 pub mod window;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables or disables metric/span recording (logging has its
-/// own level control). Disabling reduces every macro to one atomic load.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether metric/span recording is active. Always `false` when compiled
-/// with the `off` feature.
+/// Whether metric/span recording is compiled in: `false` exactly when
+/// built with the `off` feature (logging has its own level control).
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "off")]
-    {
-        false
-    }
-    #[cfg(not(feature = "off"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    !cfg!(feature = "off")
 }
 
 /// Increments a named counter (by 1, or by an explicit amount).
@@ -196,9 +178,8 @@ macro_rules! span {
     };
 }
 
-// The enabled-flag behaviour is covered by
-// `metrics::tests::disabled_macro_records_nothing`. Tests that toggle or
-// depend on the global flag serialise on this lock so the parallel test
+// Tests that toggle or depend on a global flag (trace collection, the
+// profiler, the log level) serialise on this lock so the parallel test
 // runner cannot interleave them.
 #[cfg(test)]
 pub(crate) static TEST_FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -317,12 +317,7 @@ impl<T: Registered> Cached<T> {
             let _ = (name, f);
         }
         #[cfg(not(feature = "off"))]
-        {
-            if !crate::enabled() {
-                return;
-            }
-            f(self.slot.get_or_init(|| T::register(name)));
-        }
+        f(self.slot.get_or_init(|| T::register(name)));
     }
 }
 
@@ -816,18 +811,5 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
         assert!(v.get("counters").is_some());
         assert!(v.get("histograms").is_some());
-    }
-
-    #[test]
-    fn disabled_macro_records_nothing() {
-        let _guard = crate::TEST_FLAG_LOCK.lock().unwrap();
-        let c = registry().counter("test.metrics.disabled");
-        let before = c.get();
-        crate::set_enabled(false);
-        crate::counter!("test.metrics.disabled");
-        crate::set_enabled(true);
-        assert_eq!(c.get(), before);
-        crate::counter!("test.metrics.disabled");
-        assert_eq!(c.get(), before + 1);
     }
 }

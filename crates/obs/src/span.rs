@@ -51,7 +51,7 @@ pub fn depth() -> usize {
 /// An open span; records itself when dropped.
 #[must_use = "bind the span guard (`let _span = …`) or it times nothing"]
 pub struct SpanGuard {
-    /// `None` when recording was disabled at entry (drop is then free).
+    /// `None` when recording is compiled out (drop is then free).
     start: Option<Instant>,
     name: &'static str,
 }
@@ -204,17 +204,6 @@ mod tests {
         assert_eq!(inner.count, 1);
         assert!(outer.total_ns >= inner.total_ns);
         assert!(outer.self_ns <= outer.total_ns.saturating_sub(inner.self_ns));
-    }
-
-    #[test]
-    fn disabled_span_is_inert() {
-        let _guard = crate::TEST_FLAG_LOCK.lock().unwrap();
-        crate::set_enabled(false);
-        {
-            let _span = enter("test.span.disabled");
-        }
-        crate::set_enabled(true);
-        assert!(!snapshot().spans.contains_key("test.span.disabled"));
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! Same atomic-ladder design as the cumulative registry: recording is
 //! lock-free (relaxed atomics behind the per-call-site
 //! [`crate::metrics::Cached`] handle), the `off` feature compiles the
-//! macros out entirely, and [`crate::set_enabled`]`(false)` reduces a hit
-//! to one atomic load. Slot recycling is a tag CAS: the first recorder to
+//! macros out entirely. Slot recycling is a tag CAS: the first recorder to
 //! touch a slot in a new second claims it and zeroes the contents.
 //! Observations racing with that zeroing in the same wall-clock
 //! microsecond can be lost; like the cumulative histogram's float-sum
@@ -53,11 +52,11 @@ const EMPTY: u64 = u64::MAX;
 /// Seconds since the process-wide monotonic epoch (pinned on first use).
 ///
 /// Read from a coarse cache, not the clock: a recording hit must stay
-/// within 2× of a plain cumulative counter bump (see the `obs_overhead`
-/// bench), and a `clock_gettime` per hit alone would blow that budget. A
-/// ticker thread — spawned lazily on the first windowed recording —
-/// refreshes the cache every 250 ms, so a recording can land in the slot
-/// of the just-elapsed second. That skew is far inside the sub-second
+/// within 2× of a plain cumulative counter bump (the `obs_overhead`
+/// workload of `wb bench`), and a `clock_gettime` per hit alone would
+/// blow that budget. A ticker thread — spawned lazily on the first
+/// windowed recording — refreshes the cache every 250 ms, so a recording
+/// can land in the slot of the just-elapsed second. That skew is far inside the sub-second
 /// loss tolerance slot recycling already documents. If the ticker thread
 /// cannot be spawned, every caller falls back to reading the clock.
 fn now_sec() -> u64 {
@@ -523,18 +522,5 @@ mod tests {
         let s = snapshot();
         assert!(s.counters["test.window.macro_counter"].total >= 5);
         assert!(s.histograms["test.window.macro_hist"].w60s.count >= 1);
-    }
-
-    #[test]
-    fn disabled_window_macros_record_nothing() {
-        let _guard = crate::TEST_FLAG_LOCK.lock().unwrap();
-        let c = registry().counter("test.window.disabled");
-        let before = c.total();
-        crate::set_enabled(false);
-        crate::window_counter!("test.window.disabled");
-        crate::set_enabled(true);
-        assert_eq!(c.total(), before);
-        crate::window_counter!("test.window.disabled");
-        assert_eq!(c.total(), before + 1);
     }
 }

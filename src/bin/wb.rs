@@ -63,7 +63,7 @@ USAGE:
     wb loadgen  ADDR [--requests N] [--concurrency N] [--rate R]
                 [--pages N] [--slo-ms N] [--close] [--compare]
                 [--no-warmup] [--label NAME] [--out FILE]
-                [--baseline FILE] [--tolerance PCT]
+                [--baseline FILE]
     wb top      ADDR [--interval-ms N] [--once]
     wb profile  ADDR [--seconds N] [--hz N] [--mode wall|cpu]
                 [--format collapsed|svg] [--out FILE]
@@ -72,7 +72,7 @@ USAGE:
     wb report   FILE
     wb report   --diff BEFORE.json AFTER.json
     wb bench    [--quick] [--label NAME] [--out FILE]
-                [--baseline FILE] [--tolerance PCT] [REPORT.json]
+                [--baseline FILE] [REPORT.json]
 
 SUBCOMMANDS:
     generate    Generate a synthetic labelled corpus and export HTML + JSON.
@@ -113,7 +113,7 @@ SUBCOMMANDS:
                 --close disables keep-alive; --compare runs both modes
                 and reports the keep-alive speedup. --out writes a
                 wb-bench-v1 report (BENCH_serve.json) that
-                --baseline/--tolerance diff like `wb bench`
+                --baseline gates like `wb bench`
     top         Poll a running server's /varz and render a live terminal
                 dashboard: RPS, windowed percentiles, stage breakdown,
                 queue depth, cache hit ratio and breaker state.
@@ -129,7 +129,7 @@ SUBCOMMANDS:
                 with --diff, print deltas and per-second rates between
                 two snapshots of the same process
     bench       Run the perf-trajectory workloads, write BENCH_<label>.json
-                and (with --baseline) fail on hard-metric regressions
+                and (with --baseline) fail when a hard metric differs
 
 Options take either `--flag value` or `--flag=value`.
 
@@ -1039,14 +1039,13 @@ fn cmd_flame(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bench(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["out", "label", "baseline", "tolerance"], &["quick"])?;
+    let args = Args::parse(raw, &["out", "label", "baseline"], &["quick"])?;
     let globals = apply_globals(&args)?;
     let opts = wb_bench::perf::CliOptions {
         quick: args.has("quick"),
         label: args.get_str("label", "local"),
         out: args.get("out").map(str::to_string),
         baseline: args.get("baseline").map(str::to_string),
-        tolerance_pct: args.get_num("tolerance", 10.0)?,
         compare_only: match args.positional.as_slice() {
             [] => None,
             [f] => Some(f.clone()),
@@ -1065,7 +1064,7 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
 
 /// Drives load at a running `wb serve` and reports throughput, latency
 /// percentiles and SLO attainment; with `--out` the run becomes a
-/// `wb-bench-v1` report that `--baseline` diffs like `wb bench`.
+/// `wb-bench-v1` report that `--baseline` gates like `wb bench`.
 fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(
         raw,
@@ -1079,7 +1078,6 @@ fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
             "label",
             "out",
             "baseline",
-            "tolerance",
         ],
         &["close", "compare", "no-warmup"],
     )?;
@@ -1127,27 +1125,10 @@ fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
         report.save(out)?;
         println!("wrote {out}");
     }
-    let mut code = 0;
-    if let Some(baseline_path) = args.get("baseline") {
-        let baseline = wb_bench::perf::BenchReport::load(baseline_path)?;
-        let cmp = wb_bench::perf::compare(&baseline, &report, args.get_num("tolerance", 10.0)?);
-        for w in &cmp.warnings {
-            println!("warn: {w}");
-        }
-        for f in &cmp.failures {
-            println!("FAIL: {f}");
-        }
-        println!(
-            "baseline {}: {} within tolerance, {} warnings, {} failures",
-            baseline.label,
-            cmp.within,
-            cmp.warnings.len(),
-            cmp.failures.len()
-        );
-        if !cmp.failures.is_empty() {
-            code = 1;
-        }
-    }
+    let code = match args.get("baseline") {
+        Some(path) => wb_bench::perf::gate(&report, path)?,
+        None => 0,
+    };
     write_outputs(&globals)?;
     if code != 0 {
         // A regression is a clean, diagnosed outcome: exit 1 directly
