@@ -1,8 +1,11 @@
 //! Model checkpointing: save a trained model (architecture metadata +
 //! parameter store) to JSON and restore it exactly. Architectures are
 //! reconstructed from their configuration, then the parameter values are
-//! copied in — parameter *names* are checked, so loading into a mismatched
-//! architecture fails loudly instead of silently misassigning weights.
+//! copied in — parameter names and shapes are checked, so loading into a
+//! mismatched architecture is a [`RestoreError`] naming the first
+//! parameter that differs, never a panic or silently misassigned weights.
+//! Tensor values are stored as base64 of their little-endian `f32` bytes
+//! (see [`wb_tensor::Tensor`]), which keeps loading cheap and bit-exact.
 
 use crate::extractor::{Extractor, ExtractorPriors};
 use crate::generator::Generator;
@@ -103,8 +106,12 @@ impl Checkpoint {
         })
     }
 
-    /// Reads a checkpoint from JSON.
+    /// Reads a checkpoint from JSON. A file that is not a well-formed
+    /// checkpoint — including a tensor whose value count disagrees with
+    /// its shape — is an `Other` error, never a panic. Timed by the
+    /// `core.checkpoint.load` span.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Checkpoint> {
+        let _s = wb_obs::span!("core.checkpoint.load");
         let json = std::fs::read_to_string(path)?;
         serde_json::from_str(&json).map_err(io::Error::other)
     }
@@ -115,17 +122,58 @@ impl Checkpoint {
 pub enum RestoreError {
     /// The checkpoint holds a different model kind.
     WrongKind,
+    /// The checkpoint's parameters do not fit the architecture its
+    /// configuration builds; names the first parameter that differs.
+    ParamMismatch {
+        /// The parameter's name (the architecture's, unless only the
+        /// checkpoint has a parameter at that position).
+        param: String,
+        /// What differs.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for RestoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RestoreError::WrongKind => write!(f, "checkpoint holds a different model kind"),
+            RestoreError::ParamMismatch { param, detail } => {
+                write!(f, "parameter `{param}` does not match the architecture: {detail}")
+            }
         }
     }
 }
 
 impl std::error::Error for RestoreError {}
+
+/// Copies a checkpoint's parameter values into a freshly built model's
+/// store, after checking that the names and shapes match one for one.
+/// Fails on the first parameter that differs.
+fn restore_params(model: &mut Params, saved: &Params) -> Result<(), RestoreError> {
+    let mismatch = |param: &str, detail: String| {
+        Err(RestoreError::ParamMismatch { param: param.to_string(), detail })
+    };
+    for ((_, name, want), (_, other, got)) in model.iter().zip(saved.iter()) {
+        if name != other {
+            return mismatch(name, format!("the checkpoint has `{other}` in its place"));
+        }
+        if want.shape() != got.shape() {
+            let (got, want) = (got.shape(), want.shape());
+            return mismatch(
+                name,
+                format!("the checkpoint's shape is {got:?}, the architecture's {want:?}"),
+            );
+        }
+    }
+    if let Some((_, name, _)) = model.iter().nth(saved.len()) {
+        return mismatch(name, "missing from the checkpoint".into());
+    }
+    if let Some((_, name, _)) = saved.iter().nth(model.len()) {
+        return mismatch(name, "not in the architecture".into());
+    }
+    model.copy_from(saved);
+    Ok(())
+}
 
 impl JointModel {
     /// Snapshots this model.
@@ -143,7 +191,7 @@ impl JointModel {
             Checkpoint::Joint { variant, config, params }
             | Checkpoint::Briefer { variant, config, params, .. } => {
                 let mut m = JointModel::new(*variant, *config, 0);
-                m.params_mut().copy_from(params);
+                restore_params(m.params_mut(), params)?;
                 Ok(m)
             }
             _ => Err(RestoreError::WrongKind),
@@ -174,7 +222,7 @@ impl Extractor {
                     *config,
                     0,
                 );
-                m.params_mut().copy_from(params);
+                restore_params(m.params_mut(), params)?;
                 Ok(m)
             }
             _ => Err(RestoreError::WrongKind),
@@ -198,7 +246,7 @@ impl Generator {
         match ckpt {
             Checkpoint::Generator { kind, section_prior, config, params } => {
                 let mut m = Generator::new(*kind, *section_prior, *config, 0);
-                m.params_mut().copy_from(params);
+                restore_params(m.params_mut(), params)?;
                 Ok(m)
             }
             _ => Err(RestoreError::WrongKind),
@@ -382,6 +430,96 @@ mod tests {
             Err(e) => e,
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn architecture_mismatch_is_a_restore_error() {
+        let d = tiny();
+        let mc = ModelConfig::scaled(d.tokenizer.vocab().len());
+        let m = JointModel::new(JointVariant::JointWb, mc, 5);
+        let Checkpoint::Joint { variant, config, params } = m.checkpoint() else {
+            unreachable!("a joint model snapshots as Checkpoint::Joint")
+        };
+        let wider = ModelConfig { hidden: config.hidden + 1, ..config };
+        let ckpt = Checkpoint::Joint { variant, config: wider, params };
+        let err = JointModel::from_checkpoint(&ckpt).err().expect("hidden 17 must not restore");
+        assert!(matches!(err, RestoreError::ParamMismatch { .. }), "{err}");
+        assert!(err.to_string().contains("shape"), "{err}");
+
+        // A generator's checkpoint carrying an extractor's parameters.
+        let ex = Extractor::new(EmbedderKind::Static, ExtractorPriors::default(), mc, 5);
+        let ckpt = Checkpoint::Generator {
+            kind: EmbedderKind::Static,
+            section_prior: false,
+            config: mc,
+            params: ex.params().clone(),
+        };
+        let err =
+            Generator::from_checkpoint(&ckpt).err().expect("foreign params must not restore");
+        assert!(err.to_string().starts_with("parameter `"), "{err}");
+    }
+
+    /// Checkpoints written before tensors were base64-encoded hold each
+    /// tensor's values as a JSON number array; they load to the same bits.
+    #[test]
+    fn number_array_checkpoint_loads_bit_identically() {
+        use serde::{Deserialize, Serialize, Value};
+        fn to_number_arrays(v: &mut Value) {
+            // Only a saved tensor deserializes as one.
+            if let Ok(t) = wb_tensor::Tensor::from_value(v) {
+                let nums = t.data().iter().map(|&x| Value::Num(f64::from(x))).collect();
+                *v = Value::Obj(vec![
+                    ("shape".into(), t.shape().to_vec().to_value()),
+                    ("data".into(), Value::Arr(nums)),
+                ]);
+                return;
+            }
+            match v {
+                Value::Obj(entries) => {
+                    entries.iter_mut().for_each(|(_, e)| to_number_arrays(e))
+                }
+                Value::Arr(items) => items.iter_mut().for_each(to_number_arrays),
+                _ => {}
+            }
+        }
+
+        let d = tiny();
+        let mc = ModelConfig::scaled(d.tokenizer.vocab().len());
+        let briefer = crate::briefer::Briefer::from_model(
+            JointModel::new(JointVariant::JointWb, mc, 5),
+            d.tokenizer.clone(),
+        );
+        let dir = std::env::temp_dir().join(format!("wb_ckpt_legacy_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (new_path, old_path) = (dir.join("new.json"), dir.join("old.json"));
+        briefer.checkpoint(&d.tokenizer).save(&new_path).unwrap();
+        let mut tree: Value =
+            serde_json::from_str(&std::fs::read_to_string(&new_path).unwrap()).unwrap();
+        to_number_arrays(&mut tree);
+        let legacy = serde_json::to_string(&tree).unwrap();
+        assert!(!legacy.contains("\"data\":\""), "every tensor must be rewritten");
+        std::fs::write(&old_path, legacy).unwrap();
+
+        let load = |p: &std::path::Path| {
+            crate::briefer::Briefer::from_checkpoint(&Checkpoint::load(p).unwrap()).unwrap()
+        };
+        let (new, old) = (load(&new_path), load(&old_path));
+        let bits = |b: &crate::briefer::Briefer| -> Vec<Vec<u32>> {
+            b.model()
+                .params()
+                .iter()
+                .map(|(_, _, t)| t.data().iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&new), bits(&old));
+        assert_eq!(bits(&new), bits(&briefer));
+        let html = "<html><body><section><p>Great velcro books, price : $ 40.13 today.</p>\
+                    </section></body></html>";
+        let brief = |b: &crate::briefer::Briefer| {
+            serde_json::to_string(&b.brief_html(html).unwrap()).unwrap()
+        };
+        assert_eq!(brief(&new), brief(&old));
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! assert!(grads.get(w).is_some());
 //! ```
 
+mod base64;
 mod graph;
 mod init;
 pub mod kernels;

@@ -275,10 +275,45 @@ impl serde::Deserialize for Shape {
 ///
 /// Invariant: `data.len() == shape.iter().product()`. A scalar is represented
 /// by an empty shape and a single element.
-#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+///
+/// Serializes as `{"shape":[…],"data":"<base64>"}`: the data string is the
+/// RFC 4648 base64 of the values as little-endian `f32` bytes in row-major
+/// order, so every bit pattern round-trips. Deserialization also accepts
+/// the earlier form, `data` as an array of numbers, and either way fails
+/// when the value count disagrees with the shape.
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+}
+
+impl serde::Serialize for Tensor {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Obj(vec![
+            ("shape".into(), self.shape.to_value()),
+            ("data".into(), serde::Value::Str(crate::base64::encode_f32(&self.data))),
+        ])
+    }
+}
+
+impl serde::Deserialize for Tensor {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let shape = Shape::from_value(v.field("shape")?)?;
+        let data = match v.field("data")? {
+            serde::Value::Str(text) => crate::base64::decode_f32(text)
+                .map_err(|e| serde::DeError::msg(format!("tensor data: {e}")))?,
+            legacy => Vec::<f32>::from_value(legacy)?,
+        };
+        // Two dimensions multiply without overflow in u128, whatever the input.
+        let expected: u128 = shape.as_slice().iter().map(|&d| d as u128).product();
+        if data.len() as u128 != expected {
+            return Err(serde::DeError::msg(format!(
+                "tensor shape {shape:?} needs {expected} values, data holds {}",
+                data.len()
+            )));
+        }
+        Ok(Tensor { shape, data })
+    }
 }
 
 impl fmt::Debug for Tensor {
@@ -1118,7 +1153,7 @@ mod tests {
         let expected = |shape: &[usize], data: &[f32]| {
             Value::Obj(vec![
                 ("shape".into(), Value::Arr(shape.iter().map(|&d| num(d as f64)).collect())),
-                ("data".into(), Value::Arr(data.iter().map(|&x| num(x as f64)).collect())),
+                ("data".into(), Value::Str(crate::base64::encode_f32(data))),
             ])
         };
         for t in [
@@ -1139,6 +1174,46 @@ mod tests {
         assert!(err.to_string().contains("rank 3"), "{err}");
         let params = r#"{"names":["w"],"tensors":[{"shape":[2,1,1],"data":[1,2]}]}"#;
         assert!(serde_json::from_str::<crate::Params>(params).is_err());
+    }
+
+    #[test]
+    fn every_bit_pattern_roundtrips_through_json() {
+        let payload_nan = f32::from_bits(0x7FC0_1234);
+        let values = vec![
+            f32::NAN,
+            payload_nan,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::from_bits(1),
+            f32::MAX,
+            f32::MIN,
+            0.1,
+        ];
+        let t = Tensor::from_vec(&[2, 5], values.clone());
+        let back: Tensor = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
+        assert_eq!(back.shape(), &[2, 5]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(back.data()), bits(&values));
+    }
+
+    #[test]
+    fn data_length_must_match_the_shape() {
+        let encoded = crate::base64::encode_f32(&[1.0, 2.0]);
+        for json in [
+            format!(r#"{{"shape":[3],"data":"{encoded}"}}"#),
+            r#"{"shape":[3],"data":[1,2]}"#.to_string(),
+        ] {
+            let err = serde_json::from_str::<Tensor>(&json).expect_err(&json);
+            assert!(err.to_string().contains("needs 3 values, data holds 2"), "{err}");
+        }
+        let huge = format!(r#"{{"shape":[{0},{0}],"data":[1]}}"#, usize::MAX);
+        let err = serde_json::from_str::<Tensor>(&huge).expect_err("overflowing shape");
+        assert!(err.to_string().contains("data holds 1"), "{err}");
+        let err = serde_json::from_str::<Tensor>(r#"{"shape":[1],"data":"AACAP*=="}"#)
+            .expect_err("bad base64 must not load");
+        assert!(err.to_string().contains("invalid base64 character"), "{err}");
     }
 
     #[test]

@@ -516,6 +516,15 @@ fn cmd_train(raw: &[String]) -> Result<(), String> {
     write_outputs(&globals)
 }
 
+/// Loads the briefer saved at `model`. A missing or malformed file and a
+/// checkpoint that does not fit its own architecture are all
+/// `cannot load checkpoint` errors (exit 2), never panics.
+fn load_briefer(model: &str) -> Result<Briefer, String> {
+    let cannot = |e: &dyn std::fmt::Display| format!("cannot load checkpoint {model}: {e}");
+    let ckpt = Checkpoint::load(model).map_err(|e| cannot(&e))?;
+    Briefer::from_checkpoint(&ckpt).map_err(|e| cannot(&e))
+}
+
 fn cmd_brief(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &["model"], &["json"])?;
     let globals = apply_globals(&args)?;
@@ -526,10 +535,7 @@ fn cmd_brief(raw: &[String]) -> Result<(), String> {
         return Err("brief expects at least one HTML file".to_string());
     }
 
-    let ckpt =
-        Checkpoint::load(&model).map_err(|e| format!("cannot load checkpoint {model}: {e}"))?;
-    let briefer = Briefer::from_checkpoint(&ckpt)
-        .map_err(|e| format!("checkpoint holds no briefer: {e}"))?;
+    let briefer = load_briefer(&model)?;
     let htmls: Vec<String> = files
         .iter()
         .map(|file| {
@@ -616,10 +622,7 @@ fn cmd_crawl_brief(raw: &[String]) -> Result<(), String> {
         resume: args.has("resume"),
     };
 
-    let ckpt =
-        Checkpoint::load(&model).map_err(|e| format!("cannot load checkpoint {model}: {e}"))?;
-    let briefer = Briefer::from_checkpoint(&ckpt)
-        .map_err(|e| format!("checkpoint holds no briefer: {e}"))?;
+    let briefer = load_briefer(&model)?;
     match crawl_brief(&briefer, &cfg) {
         Ok(report) => {
             println!(
@@ -709,10 +712,7 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
         idle_timeout_ms: args.get_num("idle-timeout-ms", defaults.idle_timeout_ms)?,
     };
 
-    let ckpt =
-        Checkpoint::load(&model).map_err(|e| format!("cannot load checkpoint {model}: {e}"))?;
-    let briefer = Briefer::from_checkpoint(&ckpt)
-        .map_err(|e| format!("checkpoint holds no briefer: {e}"))?;
+    let briefer = load_briefer(&model)?;
     // SIGINT/SIGTERM get the same graceful drain + flush as /shutdown;
     // install the handler before the listener so an early signal is not
     // lost.

@@ -624,6 +624,76 @@ fn brief_exits_nonzero_when_all_pages_fail() {
     let _ = std::fs::remove_file(good);
 }
 
+/// The object member `key` of `v`, mutably.
+fn member_mut<'a>(v: &'a mut serde_json::Value, key: &str) -> &'a mut serde_json::Value {
+    match v {
+        serde_json::Value::Obj(entries) => {
+            &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1
+        }
+        other => panic!("expected an object holding `{key}`, got {}", other.kind()),
+    }
+}
+
+#[test]
+fn bad_checkpoints_exit_2_instead_of_panicking() {
+    use serde_json::Value;
+    let dir = std::env::temp_dir().join(format!("wb_cli_bad_ckpt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("model.json");
+    let page = dir.join("page.html");
+    std::fs::write(
+        &page,
+        "<html><body><section><p>great velcro books , price : $ 9.99 .</p></section></body></html>",
+    )
+    .unwrap();
+    let out = wb()
+        .args(["train", "--out", model.to_str().unwrap()])
+        .args(["--epochs", "1", "--subjects", "1", "--pages", "2"])
+        .output()
+        .expect("run wb train");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let saved = std::fs::read_to_string(&model).unwrap();
+
+    // One value cut from the first matrix: its data no longer fills its shape.
+    let mut tree: Value = serde_json::from_str(&saved).unwrap();
+    let Value::Obj(top) = &mut tree else { panic!("a checkpoint is an object") };
+    let params = member_mut(&mut top[0].1, "params");
+    let Value::Arr(tensors) = member_mut(params, "tensors") else { panic!("tensors array") };
+    let matrix = tensors
+        .iter_mut()
+        .find(|t| t.get("shape").and_then(Value::as_array).is_some_and(|s| s.len() == 2))
+        .expect("the model has a matrix parameter");
+    let full: wb_tensor::Tensor =
+        serde_json::from_str(&serde_json::to_string(&*matrix).unwrap()).unwrap();
+    let n = full.len();
+    let cut = wb_tensor::Tensor::from_vec(&[n - 1], full.data()[..n - 1].to_vec());
+    let cut: Value = serde_json::from_str(&serde_json::to_string(&cut).unwrap()).unwrap();
+    *member_mut(matrix, "data") = cut.get("data").unwrap().clone();
+    let truncated = dir.join("truncated.json");
+    std::fs::write(&truncated, serde_json::to_string(&tree).unwrap()).unwrap();
+
+    // A configuration the saved parameters were not built for.
+    assert!(saved.contains("\"hidden\":16"), "unexpected checkpoint layout");
+    let mismatched = dir.join("mismatched.json");
+    std::fs::write(&mismatched, saved.replacen("\"hidden\":16", "\"hidden\":17", 1)).unwrap();
+
+    for (ckpt, why) in [
+        (&truncated, format!("needs {n} values, data holds {}", n - 1)),
+        (&mismatched, "does not match the architecture".to_string()),
+    ] {
+        let out = wb()
+            .args(["brief", "--model", ckpt.to_str().unwrap(), page.to_str().unwrap()])
+            .output()
+            .expect("run wb brief");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{}: {stderr}", ckpt.display());
+        assert!(stderr.contains("cannot load checkpoint"), "{stderr}");
+        assert!(stderr.contains(&why), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn stats_prints_corpus_summary() {
     let out =
