@@ -1,9 +1,8 @@
 //! `wb bench` — the performance-trajectory harness.
 //!
 //! Runs a fixed set of workloads (matmul variants, WordPiece tokenization,
-//! corpus briefing, checkpoint save/load, one-epoch training,
-//! instrumentation overhead) with warmup and repeats, and writes a
-//! `BENCH_<label>.json` report per run:
+//! corpus briefing, one-epoch training, instrumentation overhead) with
+//! warmup and repeats, and writes a `BENCH_<label>.json` report per run:
 //! throughput, latency percentiles (derived from the `wb-obs` histograms
 //! via [`HistogramSnapshot::quantile`]), deterministic work counters
 //! (FLOPs, matmul calls, dispatch decisions) and peak-memory watermarks,
@@ -31,12 +30,11 @@
 use crate::Scale;
 use std::collections::BTreeMap;
 use std::time::Instant;
-use wb_core::{Briefer, Checkpoint, ModelConfig, TrainConfig};
+use wb_core::{Briefer, ModelConfig, TrainConfig};
 use wb_corpus::{generate_page, Dataset, DatasetConfig, PageConfig};
 use wb_obs::json::Json;
 use wb_obs::metrics::{registry, snapshot, HistogramSnapshot, Snapshot};
 use wb_tensor::{Graph, Params, Tensor};
-use wb_text::WordPiece;
 
 /// Schema tag written into every report (bump on breaking changes).
 pub const SCHEMA: &str = "wb-bench-v1";
@@ -451,41 +449,6 @@ fn bench_brief(spec: &TierSpec, briefer: &Briefer, htmls: &[String]) -> Workload
     WorkloadResult { repeats: measured.repeats, metrics }
 }
 
-/// Save/reload repeats of [`bench_checkpoint`]; its times are the medians.
-const CHECKPOINT_REPS: usize = 5;
-
-/// Saves the `brief_corpus` briefer as a checkpoint and loads it back
-/// (`Checkpoint::load` + `Briefer::from_checkpoint`, the cold start of
-/// every `wb brief`). The file size is hard: the tensor encoding makes it
-/// a function of the parameter count and the vocabulary alone.
-fn bench_checkpoint(briefer: &Briefer, tokenizer: &WordPiece) -> WorkloadResult {
-    let path = std::env::temp_dir().join(format!("wb_bench_ckpt_{}.json", std::process::id()));
-    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
-    let (mut save, mut load) = (Vec::new(), Vec::new());
-    for _ in 0..CHECKPOINT_REPS {
-        let t0 = Instant::now();
-        briefer.checkpoint(tokenizer).save(&path).expect("save the bench checkpoint");
-        save.push(ms(t0));
-        let t0 = Instant::now();
-        let ckpt = Checkpoint::load(&path).expect("load the bench checkpoint");
-        std::hint::black_box(
-            Briefer::from_checkpoint(&ckpt).expect("restore the bench briefer"),
-        );
-        load.push(ms(t0));
-    }
-    let bytes = std::fs::metadata(&path).expect("stat the bench checkpoint").len();
-    let _ = std::fs::remove_file(&path);
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let mut metrics = BTreeMap::new();
-    metrics.insert("bytes".into(), Metric::new(bytes as f64, "bytes", true));
-    metrics.insert("save_ms".into(), Metric::new(median(save), "ms", false));
-    metrics.insert("load_ms".into(), Metric::new(median(load), "ms", false));
-    WorkloadResult { repeats: CHECKPOINT_REPS, metrics }
-}
-
 /// One training epoch (forward + backward + Adam) per repeat over a fixed
 /// example slice. The model is built once and keeps evolving — the *work
 /// shape* (and therefore every hard metric) is identical each repeat.
@@ -645,9 +608,6 @@ pub fn run(tier: Tier, label: &str) -> BenchReport {
     let briefer = Briefer::train_with(&dataset, model_cfg, tc, 7);
     eprintln!("[bench] brief_corpus over {} pages", htmls.len());
     workloads.insert("brief_corpus".into(), bench_brief(&spec, &briefer, &htmls));
-
-    eprintln!("[bench] checkpoint save + load");
-    workloads.insert("checkpoint".into(), bench_checkpoint(&briefer, &dataset.tokenizer));
 
     eprintln!("[bench] train_step");
     workloads.insert("train_step".into(), bench_train(&spec, &dataset));

@@ -1,9 +1,12 @@
 //! Model checkpointing: save a trained model (architecture metadata +
 //! parameter store) to JSON and restore it exactly. Architectures are
 //! reconstructed from their configuration, then the parameter values are
-//! copied in — parameter names and shapes are checked, so loading into a
-//! mismatched architecture is a [`RestoreError`] naming the first
-//! parameter that differs, never a panic or silently misassigned weights.
+//! copied in — parameter names and shapes are checked, so parameters
+//! saved from another architecture are a [`RestoreError`] naming the
+//! first parameter that differs, never a panic or silently misassigned
+//! weights. The configuration itself is not checked: the model it
+//! describes is built before any comparison, so a configuration edited
+//! to sizes too large to allocate fails in that allocation.
 //! Tensor values are stored as base64 of their little-endian `f32` bytes
 //! (see [`wb_tensor::Tensor`]), which keeps loading cheap and bit-exact.
 
@@ -123,22 +126,17 @@ pub enum RestoreError {
     /// The checkpoint holds a different model kind.
     WrongKind,
     /// The checkpoint's parameters do not fit the architecture its
-    /// configuration builds; names the first parameter that differs.
-    ParamMismatch {
-        /// The parameter's name (the architecture's, unless only the
-        /// checkpoint has a parameter at that position).
-        param: String,
-        /// What differs.
-        detail: String,
-    },
+    /// configuration builds; the text names the first parameter that
+    /// differs (see [`Params::try_copy_from`]).
+    ParamMismatch(String),
 }
 
 impl std::fmt::Display for RestoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RestoreError::WrongKind => write!(f, "checkpoint holds a different model kind"),
-            RestoreError::ParamMismatch { param, detail } => {
-                write!(f, "parameter `{param}` does not match the architecture: {detail}")
+            RestoreError::ParamMismatch(detail) => {
+                write!(f, "parameters do not match the architecture: {detail}")
             }
         }
     }
@@ -146,33 +144,9 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// Copies a checkpoint's parameter values into a freshly built model's
-/// store, after checking that the names and shapes match one for one.
-/// Fails on the first parameter that differs.
+/// Copies a checkpoint's parameter values into a freshly built model.
 fn restore_params(model: &mut Params, saved: &Params) -> Result<(), RestoreError> {
-    let mismatch = |param: &str, detail: String| {
-        Err(RestoreError::ParamMismatch { param: param.to_string(), detail })
-    };
-    for ((_, name, want), (_, other, got)) in model.iter().zip(saved.iter()) {
-        if name != other {
-            return mismatch(name, format!("the checkpoint has `{other}` in its place"));
-        }
-        if want.shape() != got.shape() {
-            let (got, want) = (got.shape(), want.shape());
-            return mismatch(
-                name,
-                format!("the checkpoint's shape is {got:?}, the architecture's {want:?}"),
-            );
-        }
-    }
-    if let Some((_, name, _)) = model.iter().nth(saved.len()) {
-        return mismatch(name, "missing from the checkpoint".into());
-    }
-    if let Some((_, name, _)) = saved.iter().nth(model.len()) {
-        return mismatch(name, "not in the architecture".into());
-    }
-    model.copy_from(saved);
-    Ok(())
+    model.try_copy_from(saved).map_err(RestoreError::ParamMismatch)
 }
 
 impl JointModel {
@@ -443,7 +417,7 @@ mod tests {
         let wider = ModelConfig { hidden: config.hidden + 1, ..config };
         let ckpt = Checkpoint::Joint { variant, config: wider, params };
         let err = JointModel::from_checkpoint(&ckpt).err().expect("hidden 17 must not restore");
-        assert!(matches!(err, RestoreError::ParamMismatch { .. }), "{err}");
+        assert!(matches!(err, RestoreError::ParamMismatch(_)), "{err}");
         assert!(err.to_string().contains("shape"), "{err}");
 
         // A generator's checkpoint carrying an extractor's parameters.
@@ -456,7 +430,7 @@ mod tests {
         };
         let err =
             Generator::from_checkpoint(&ckpt).err().expect("foreign params must not restore");
-        assert!(err.to_string().starts_with("parameter `"), "{err}");
+        assert!(err.to_string().contains("in its place"), "{err}");
     }
 
     /// Checkpoints written before tensors were base64-encoded hold each

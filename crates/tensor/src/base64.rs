@@ -40,6 +40,9 @@ pub(crate) fn encode_f32(values: &[f32]) -> String {
     String::from_utf8(out).expect("the base64 alphabet is ASCII")
 }
 
+/// Characters in one decoding step: four quanta, twelve bytes, three values.
+const BLOCK: usize = 16;
+
 /// Decodes base64 of little-endian `f32` bytes back into values.
 ///
 /// Rejects a length that is not a multiple of 4, a character outside the
@@ -55,62 +58,58 @@ pub(crate) fn decode_f32(text: &str) -> Result<Vec<f32>, String> {
     if !byte_len.is_multiple_of(4) {
         return Err(format!("base64 holds {byte_len} bytes, not a whole number of f32s"));
     }
-    let mut out = Vec::with_capacity(byte_len / 4);
-    // Fast path: 16 characters are 12 bytes, three whole values. It stops
-    // before the last quantum, which may hold padding, and at the first
-    // block with a character outside the alphabet; the checked loop below
-    // decodes the rest and names any fault.
-    let blocks = text.len().saturating_sub(4) / 16;
-    for block in text.chunks_exact(16).take(blocks) {
-        let mut bytes = [0u8; 12];
-        let mut seen = 0;
-        for (quad, dst) in block.chunks_exact(4).zip(bytes.chunks_exact_mut(3)) {
-            let s = [0, 1, 2, 3].map(|i| DECODE[quad[i] as usize]);
-            seen |= s[0] | s[1] | s[2] | s[3];
-            let n = (u32::from(s[0]) << 18)
-                | (u32::from(s[1]) << 12)
-                | (u32::from(s[2]) << 6)
-                | u32::from(s[3]);
-            dst.copy_from_slice(&n.to_be_bytes()[1..]);
-        }
-        // Sextets are below 64; only INVALID sets the high bits.
-        if seen >= 64 {
-            break;
-        }
-        out.extend(bytes.chunks_exact(4).map(|w| f32::from_le_bytes([w[0], w[1], w[2], w[3]])));
+    let values = byte_len / 4;
+    let whole = values / 3 * BLOCK;
+    let as_f32 = |w: &[u8]| f32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    let mut out = Vec::with_capacity(values);
+    for (b, block) in text[..whole].chunks_exact(BLOCK).enumerate() {
+        let bytes = decode_block(block).ok_or_else(|| invalid(block, b * BLOCK))?;
+        out.extend(bytes.chunks_exact(4).map(as_f32));
     }
-    let mut word = [0u8; 4];
-    let mut filled = 0;
-    let body = &text[..text.len() - pad];
-    for (q, quad) in text.chunks_exact(4).enumerate().skip(out.len() / 3 * 4) {
-        let mut n = 0u32;
-        for (i, &c) in quad.iter().enumerate() {
-            let pos = q * 4 + i;
-            let s = if pos < body.len() { DECODE[c as usize] } else { 0 };
-            if s == INVALID {
-                return Err(if c == b'=' {
-                    format!("misplaced base64 padding at offset {pos}")
-                } else {
-                    format!("invalid base64 character {:?} at offset {pos}", c as char)
-                });
-            }
-            n = (n << 6) | u32::from(s);
-        }
-        let bytes = [(n >> 16) as u8, (n >> 8) as u8, n as u8];
-        let take = 3.min(byte_len - q * 3);
-        if bytes[take..].iter().any(|&b| b != 0) {
-            return Err("non-zero bits under the base64 padding".to_string());
-        }
-        for &b in &bytes[..take] {
-            word[filled] = b;
-            filled += 1;
-            if filled == 4 {
-                out.push(f32::from_le_bytes(word));
-                filled = 0;
-            }
-        }
+    // The rest, at most 12 characters, decodes as one block filled out
+    // with 'A', which like the padding it replaces reads as zero bits.
+    let mut tail = [b'A'; BLOCK];
+    let rest = &text[whole..text.len() - pad];
+    tail[..rest.len()].copy_from_slice(rest);
+    let bytes = decode_block(&tail).ok_or_else(|| invalid(&tail, whole))?;
+    let (last, filler) = bytes.split_at(4 * (values - out.len()));
+    if filler.iter().any(|&b| b != 0) {
+        return Err("non-zero bits under the base64 padding".to_string());
     }
+    out.extend(last.chunks_exact(4).map(as_f32));
     Ok(out)
+}
+
+/// Decodes [`BLOCK`] characters into their twelve bytes, or `None` when
+/// one is outside the alphabet.
+#[inline(always)]
+fn decode_block(block: &[u8]) -> Option<[u8; 12]> {
+    let mut bytes = [0u8; 12];
+    let mut seen = 0;
+    for (quad, dst) in block.chunks_exact(4).zip(bytes.chunks_exact_mut(3)) {
+        let s = [0, 1, 2, 3].map(|i| DECODE[quad[i] as usize]);
+        seen |= s[0] | s[1] | s[2] | s[3];
+        let n = (u32::from(s[0]) << 18)
+            | (u32::from(s[1]) << 12)
+            | (u32::from(s[2]) << 6)
+            | u32::from(s[3]);
+        dst.copy_from_slice(&n.to_be_bytes()[1..]);
+    }
+    // Sextets are below 64; only INVALID sets the high bits.
+    (seen < 64).then_some(bytes)
+}
+
+/// Names the first character outside the alphabet in a block that starts
+/// at offset `at` of the text.
+#[cold]
+fn invalid(block: &[u8], at: usize) -> String {
+    let i = block.iter().position(|&c| DECODE[c as usize] == INVALID).expect("a foreign byte");
+    let (c, pos) = (block[i], at + i);
+    if c == b'=' {
+        format!("misplaced base64 padding at offset {pos}")
+    } else {
+        format!("invalid base64 character {:?} at offset {pos}", c as char)
+    }
 }
 
 #[cfg(test)]
@@ -127,7 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrips_across_the_fast_path_boundaries() {
+    fn roundtrips_every_block_and_padding_length() {
         for n in 0..40usize {
             let values: Vec<f32> = (0..n).map(|i| i as f32 * -1.25 + 0.1).collect();
             let text = encode_f32(&values);
@@ -150,10 +149,18 @@ mod tests {
             let err = decode_f32(bad).expect_err(bad);
             assert!(err.contains(why), "{bad}: {err}");
         }
-        // Past the first fast-path blocks, the offset is still exact.
-        let mut long = encode_f32(&[0.25; 30]).into_bytes();
-        long[37] = b'.';
-        let err = decode_f32(std::str::from_utf8(&long).unwrap()).unwrap_err();
-        assert_eq!(err, "invalid base64 character '.' at offset 37");
+        // Offsets count from the start of the text, in a whole block and in
+        // the last, partial one (31 values: ten blocks, then 8 characters).
+        let long = encode_f32(&[0.25; 31]);
+        assert_eq!(long.len(), 168);
+        for (at, c, why) in [
+            (37, b'.', "invalid base64 character '.' at offset 37"),
+            (161, b'.', "invalid base64 character '.' at offset 161"),
+            (165, b'=', "misplaced base64 padding at offset 165"),
+        ] {
+            let mut text = long.clone().into_bytes();
+            text[at] = c;
+            assert_eq!(decode_f32(std::str::from_utf8(&text).unwrap()).unwrap_err(), why);
+        }
     }
 }

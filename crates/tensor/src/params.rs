@@ -111,14 +111,43 @@ impl Params {
     /// Copies values from another store with identical structure.
     ///
     /// # Panics
-    /// Panics when names or shapes disagree — checkpoints must match the
-    /// architecture exactly.
+    /// Panics when names or shapes disagree — see [`Params::try_copy_from`].
     pub fn copy_from(&mut self, other: &Params) {
-        assert_eq!(self.names, other.names, "parameter structure mismatch");
-        for (dst, src) in self.tensors.iter_mut().zip(&other.tensors) {
-            assert_eq!(dst.shape(), src.shape(), "parameter shape mismatch");
-            *dst = src.clone();
+        if let Err(e) = self.try_copy_from(other) {
+            panic!("parameter structure mismatch: {e}");
         }
+    }
+
+    /// Copies values from another store after checking that it holds the
+    /// same names, one tensor per name, and the same shapes. On a mismatch
+    /// nothing is copied and the error names the first parameter that
+    /// differs. `other` may come from an untrusted file, so its name and
+    /// tensor counts are checked separately.
+    pub fn try_copy_from(&mut self, other: &Params) -> Result<(), String> {
+        let positions = self.names.len().max(other.names.len());
+        if let Some(i) = (0..positions).find(|&i| self.names.get(i) != other.names.get(i)) {
+            return Err(match (self.names.get(i), other.names.get(i)) {
+                (Some(want), Some(got)) => {
+                    format!("`{want}` expected, `{got}` given in its place")
+                }
+                (Some(want), None) => format!("`{want}` expected, not given"),
+                (None, Some(got)) => format!("`{got}` given, not expected"),
+                (None, None) => unreachable!("names at {i} differ"),
+            });
+        }
+        if other.tensors.len() != other.names.len() {
+            let (t, n) = (other.tensors.len(), other.names.len());
+            return Err(format!("{t} tensors given for {n} names"));
+        }
+        let pairs = self.names.iter().zip(self.tensors.iter().zip(&other.tensors));
+        for (name, (want, got)) in pairs {
+            if want.shape() != got.shape() {
+                let (got, want) = (got.shape(), want.shape());
+                return Err(format!("`{name}`: shape {got:?} given, {want:?} expected"));
+            }
+        }
+        self.tensors.clone_from_slice(&other.tensors);
+        Ok(())
     }
 }
 
@@ -166,5 +195,31 @@ mod tests {
         b.add_init("w", &[2], Initializer::Uniform(0.5), &mut rng);
         a.copy_from(&b);
         assert_eq!(a.get(ParamId(0)).data(), b.get(ParamId(0)).data());
+    }
+
+    #[test]
+    fn try_copy_from_names_the_first_mismatch_and_copies_nothing() {
+        let store = |entries: &[(&str, usize)]| {
+            let mut p = Params::new();
+            for &(name, n) in entries {
+                p.add(name, Tensor::from_vec(&[n], vec![n as f32; n]));
+            }
+            p
+        };
+        let mut dst = store(&[("a", 1), ("b", 2)]);
+        for (src, why) in [
+            (store(&[("a", 1), ("c", 2)]), "`b` expected, `c` given in its place"),
+            (store(&[("a", 1)]), "`b` expected, not given"),
+            (store(&[("a", 1), ("b", 2), ("c", 3)]), "`c` given, not expected"),
+            (store(&[("a", 1), ("b", 3)]), "`b`: shape [3] given, [2] expected"),
+        ] {
+            assert_eq!(dst.try_copy_from(&src).unwrap_err(), why);
+        }
+        // Names intact but a tensor short, as a hand-edited file can be.
+        let mut short = store(&[("a", 7), ("b", 2)]);
+        short.tensors.pop();
+        let err = dst.try_copy_from(&short).unwrap_err();
+        assert_eq!(err, "1 tensors given for 2 names");
+        assert_eq!(dst.get(ParamId(0)).data(), &[1.0]);
     }
 }

@@ -1168,6 +1168,14 @@ mod tests {
     }
 
     #[test]
+    fn json_wire_form_is_pinned() {
+        // A changed encoding changes every checkpoint's bytes and size.
+        let t = Tensor::from_vec(&[1, 3], vec![1.0, -2.0, 0.5]);
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(json, r#"{"shape":[1,3],"data":"AACAPwAAAMAAAAA/"}"#);
+    }
+
+    #[test]
     fn rank_three_shape_is_a_load_error_not_a_panic() {
         let err = serde_json::from_str::<Tensor>(r#"{"shape":[1,2,2],"data":[1,2,3,4]}"#)
             .expect_err("a rank-3 tensor must not load");

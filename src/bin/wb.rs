@@ -516,9 +516,9 @@ fn cmd_train(raw: &[String]) -> Result<(), String> {
     write_outputs(&globals)
 }
 
-/// Loads the briefer saved at `model`. A missing or malformed file and a
-/// checkpoint that does not fit its own architecture are all
-/// `cannot load checkpoint` errors (exit 2), never panics.
+/// Loads the briefer saved at `model`. A missing or malformed file and
+/// parameters that do not fit the checkpoint's own architecture are all
+/// `cannot load checkpoint` errors (exit 2).
 fn load_briefer(model: &str) -> Result<Briefer, String> {
     let cannot = |e: &dyn std::fmt::Display| format!("cannot load checkpoint {model}: {e}");
     let ckpt = Checkpoint::load(model).map_err(|e| cannot(&e))?;

@@ -677,9 +677,20 @@ fn bad_checkpoints_exit_2_instead_of_panicking() {
     let mismatched = dir.join("mismatched.json");
     std::fs::write(&mismatched, saved.replacen("\"hidden\":16", "\"hidden\":17", 1)).unwrap();
 
+    // The last parameter's name dropped, its tensor kept: every name that
+    // remains still lines up with the architecture's.
+    let mut tree: Value = serde_json::from_str(&saved).unwrap();
+    let Value::Obj(top) = &mut tree else { panic!("a checkpoint is an object") };
+    let params = member_mut(&mut top[0].1, "params");
+    let Value::Arr(names) = member_mut(params, "names") else { panic!("names array") };
+    let Some(Value::Str(last)) = names.pop() else { panic!("a parameter name") };
+    let unnamed = dir.join("unnamed.json");
+    std::fs::write(&unnamed, serde_json::to_string(&tree).unwrap()).unwrap();
+
     for (ckpt, why) in [
         (&truncated, format!("needs {n} values, data holds {}", n - 1)),
-        (&mismatched, "does not match the architecture".to_string()),
+        (&mismatched, "do not match the architecture".to_string()),
+        (&unnamed, format!("`{last}` expected, not given")),
     ] {
         let out = wb()
             .args(["brief", "--model", ckpt.to_str().unwrap(), page.to_str().unwrap()])
