@@ -399,11 +399,15 @@ mod tests {
         // A fault armed by `transient_write_failure_is_retried` would
         // replace the path error with the injected one.
         let _guard = wb_chaos::test_lock();
+        let retries = wb_obs::metrics::registry().counter("obs.retry.attempts");
+        let before = retries.get();
         let err = match m.checkpoint().save("/") {
             Ok(()) => panic!("no file name to save to"),
             Err(e) => e,
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        // A path error fails the same way every time: no backoff sleeps.
+        assert_eq!(retries.get(), before, "a permanent error was retried");
     }
 
     #[test]

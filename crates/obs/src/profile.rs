@@ -31,11 +31,15 @@
 //! * [`Mode::Wall`] — every observed thread with a non-empty stack
 //!   contributes weight 1 per sampling round: the classic wall-clock
 //!   profile (blocked time counts).
-//! * [`Mode::Cpu`] — each round reads `utime+stime` clock ticks from
-//!   `/proc/self/task/<tid>/stat` (dependency-free, like the signal
-//!   handling in wb-serve) and attributes the per-thread delta to the
-//!   stack observed at the sample instant; CPU burned while the stack
-//!   is empty lands in the `(no span)` bucket. Linux-only.
+//! * [`Mode::Cpu`] — each thread reads its own CPU clock
+//!   (`clock_gettime(CLOCK_THREAD_CPUTIME_ID)`, hand-declared like the
+//!   syscalls in wb-serve) at every span enter and exit while the
+//!   capture is armed, and charges the CPU time since its previous span
+//!   event to the stack that was open in between; the sampler folds the
+//!   charges each round. Weights are CPU microseconds. CPU burned while
+//!   the stack is empty lands in the `(no span)` bucket. A thread's time
+//!   before its first span event in the capture, and after its last, is
+//!   not seen. Linux-only.
 //!
 //! One capture may run at a time ([`start`] fails with a busy error
 //! otherwise); `GET /pprof` maps that to HTTP 409.
@@ -54,7 +58,7 @@ pub const MAX_FRAMES: usize = 32;
 pub enum Mode {
     /// Weight 1 per thread per round; blocked time counts.
     Wall,
-    /// Weight = `utime+stime` tick delta per thread per round.
+    /// Weight = CPU microseconds spent under each stack.
     Cpu,
 }
 
@@ -132,8 +136,6 @@ fn resolve(id: u32) -> &'static str {
 // ---------------------------------------------------------------------
 
 struct ShadowStack {
-    /// Kernel thread id (0 where unavailable); keys the on-CPU reads.
-    tid: u64,
     /// Seqlock: odd while the owner rewrites the mirror.
     seq: AtomicU64,
     /// True nesting depth (may exceed [`MAX_FRAMES`]).
@@ -144,25 +146,55 @@ struct ShadowStack {
     alive: AtomicBool,
     /// Excluded from sampling (the thread running a capture request).
     hidden: AtomicBool,
+    /// On-CPU charges, written by the owner and drained by the sampler.
+    cpu: Mutex<CpuLedger>,
 }
+
+/// One thread's on-CPU accounting for [`Mode::Cpu`].
+#[derive(Default)]
+struct CpuLedger {
+    /// The capture `mark_ns` was taken in; CPU time since a mark from an
+    /// earlier capture is not charged.
+    capture: u64,
+    /// The thread's CPU clock (ns) at its last span enter or exit.
+    mark_ns: u64,
+    /// CPU ns charged per stack: interned frame ids, root first, ending
+    /// in [`TRUNCATED`] when the stack was deeper than [`MAX_FRAMES`].
+    charged: HashMap<Vec<u32>, u64>,
+}
+
+/// Frame id standing for the `(truncated)` suffix frame.
+const TRUNCATED: u32 = u32::MAX;
 
 fn stacks() -> &'static Mutex<Vec<Arc<ShadowStack>>> {
     static S: OnceLock<Mutex<Vec<Arc<ShadowStack>>>> = OnceLock::new();
     S.get_or_init(|| Mutex::new(Vec::new()))
 }
 
+/// The calling thread's CPU time in nanoseconds.
 #[cfg(target_os = "linux")]
-fn current_tid() -> u64 {
-    // Hand-declared like wb-serve's signal(): glibc and musl both export
-    // gettid(); going through libc keeps this dependency-free.
-    extern "C" {
-        fn gettid() -> i32;
+fn thread_cpu_ns() -> u64 {
+    // Hand-declared like wb-serve's syscalls; `struct timespec` is two
+    // 64-bit fields on every 64-bit Linux target.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
     }
-    unsafe { gettid() as u64 }
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a valid, exclusively borrowed out-parameter.
+    if unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } != 0 {
+        return 0;
+    }
+    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
 }
 
 #[cfg(not(target_os = "linux"))]
-fn current_tid() -> u64 {
+fn thread_cpu_ns() -> u64 {
     0
 }
 
@@ -182,18 +214,23 @@ thread_local! {
 
 fn register_current_thread() -> ShadowHandle {
     let s = Arc::new(ShadowStack {
-        tid: current_tid(),
         seq: AtomicU64::new(0),
         depth: AtomicUsize::new(0),
         frames: std::array::from_fn(|_| AtomicU32::new(0)),
         alive: AtomicBool::new(true),
         hidden: AtomicBool::new(false),
+        cpu: Mutex::new(CpuLedger::default()),
     });
     stacks().lock().unwrap().push(Arc::clone(&s));
     ShadowHandle(s)
 }
 
 static ARMED: AtomicBool = AtomicBool::new(false);
+
+/// Id of the armed [`Mode::Cpu`] capture; 0 while none is.
+static CPU_CAPTURE: AtomicU64 = AtomicU64::new(0);
+/// Source of capture ids.
+static CAPTURE_IDS: AtomicU64 = AtomicU64::new(0);
 
 /// Whether a capture is armed. The span hot path checks this (one
 /// relaxed load) and skips all mirror maintenance when disarmed.
@@ -203,7 +240,9 @@ pub(crate) fn armed() -> bool {
 }
 
 /// Rebuilds the current thread's shadow mirror from its real span stack
-/// (called by the span layer on every enter/exit while armed).
+/// (called by the span layer on every enter/exit while armed). In a
+/// [`Mode::Cpu`] capture it first charges the CPU time since the previous
+/// call to the stack the mirror still shows.
 pub(crate) fn sync_stack<I>(names: I)
 where
     I: Iterator<Item = &'static str> + ExactSizeIterator,
@@ -212,6 +251,10 @@ where
         let mut slot = cell.borrow_mut();
         let handle = slot.get_or_insert_with(register_current_thread);
         let s = &handle.0;
+        let capture = CPU_CAPTURE.load(Ordering::Relaxed);
+        if capture != 0 {
+            charge_cpu(s, capture);
+        }
         let depth = names.len();
         s.seq.fetch_add(1, Ordering::Release);
         for (i, name) in names.enumerate().take(MAX_FRAMES) {
@@ -220,6 +263,35 @@ where
         s.depth.store(depth, Ordering::Relaxed);
         s.seq.fetch_add(1, Ordering::Release);
     });
+}
+
+/// Charges the calling thread's CPU time since its last mark to the stack
+/// its mirror shows (the owner's own writes, so plain loads suffice).
+fn charge_cpu(s: &ShadowStack, capture: u64) {
+    let now = thread_cpu_ns();
+    let mut ledger = s.cpu.lock().unwrap();
+    let spent = if ledger.capture == capture { now.saturating_sub(ledger.mark_ns) } else { 0 };
+    ledger.capture = capture;
+    ledger.mark_ns = now;
+    if spent == 0 || s.hidden.load(Ordering::Relaxed) {
+        return;
+    }
+    let depth = s.depth.load(Ordering::Relaxed);
+    let mut key = [0u32; MAX_FRAMES + 1];
+    let mut len = depth.min(MAX_FRAMES);
+    for (k, f) in key.iter_mut().zip(&s.frames[..len]) {
+        *k = f.load(Ordering::Relaxed);
+    }
+    if depth > MAX_FRAMES {
+        key[len] = TRUNCATED;
+        len += 1;
+    }
+    match ledger.charged.get_mut(&key[..len]) {
+        Some(ns) => *ns += spent,
+        None => {
+            ledger.charged.insert(key[..len].to_vec(), spent);
+        }
+    }
 }
 
 /// Hides the calling thread from the sampler while the guard lives.
@@ -243,8 +315,9 @@ impl Drop for HiddenGuard {
     }
 }
 
-/// Seqlock-validated read of one mirror; `None` after repeated tears.
-fn read_stack(s: &ShadowStack) -> Option<(Vec<u32>, usize)> {
+/// Seqlock-validated read of one mirror, ending in [`TRUNCATED`] when
+/// the stack is deeper than [`MAX_FRAMES`]; `None` after repeated tears.
+fn read_stack(s: &ShadowStack) -> Option<Vec<u32>> {
     for _ in 0..4 {
         let s1 = s.seq.load(Ordering::Acquire);
         if s1 & 1 == 1 {
@@ -253,29 +326,38 @@ fn read_stack(s: &ShadowStack) -> Option<(Vec<u32>, usize)> {
         }
         let depth = s.depth.load(Ordering::Relaxed);
         let shown = depth.min(MAX_FRAMES);
-        let mut ids = Vec::with_capacity(shown);
+        let mut ids = Vec::with_capacity(shown + 1);
         for f in s.frames.iter().take(shown) {
             ids.push(f.load(Ordering::Relaxed));
         }
         std::sync::atomic::fence(Ordering::Acquire);
         if s.seq.load(Ordering::Relaxed) == s1 {
-            return Some((ids, depth));
+            if depth > MAX_FRAMES {
+                ids.push(TRUNCATED);
+            }
+            return Some(ids);
         }
     }
     None
 }
 
-/// `utime+stime` clock ticks for one thread of this process.
-fn cpu_ticks(tid: u64) -> Option<u64> {
-    let text = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).ok()?;
-    // The comm field may contain spaces and parentheses; fields after
-    // the *last* `)` are whitespace-separated. utime and stime are
-    // fields 14 and 15 of the full line, i.e. 11 and 12 past the comm.
-    let (_, rest) = text.rsplit_once(')')?;
-    let mut it = rest.split_ascii_whitespace();
-    let utime: u64 = it.nth(11)?.parse().ok()?;
-    let stime: u64 = it.next()?.parse().ok()?;
-    Some(utime + stime)
+/// The collapsed-stack path of interned frame ids (root first); an empty
+/// stack is `(no span)`.
+fn fold_path(ids: &[u32]) -> String {
+    if ids.is_empty() {
+        return "(no span)".to_string();
+    }
+    let frames: Vec<String> = ids
+        .iter()
+        .map(|&id| {
+            if id == TRUNCATED {
+                "(truncated)".to_string()
+            } else {
+                sanitize_frame(resolve(id))
+            }
+        })
+        .collect();
+    frames.join(";")
 }
 
 fn sanitize_frame(name: &str) -> String {
@@ -333,6 +415,8 @@ impl Recorder {
     /// Stops sampling, disarms the span mirrors and returns the folded
     /// profile.
     pub fn stop(self) -> Profile {
+        // Charging ends first, so the sampler's final drain sees it all.
+        CPU_CAPTURE.store(0, Ordering::Relaxed);
         self.stop.store(true, Ordering::Release);
         let (rounds, total_weight, folded) = self.handle.join().unwrap_or_default();
         ARMED.store(false, Ordering::Relaxed);
@@ -356,7 +440,7 @@ pub fn start(opts: Options) -> Result<Recorder, String> {
         return Err("profiler unavailable: wb-obs compiled with the `off` feature".to_string());
     }
     if opts.mode == Mode::Cpu && !cfg!(target_os = "linux") {
-        return Err("on-CPU mode reads /proc and requires Linux".to_string());
+        return Err("on-CPU mode reads Linux thread CPU clocks and requires Linux".to_string());
     }
     if CAPTURING.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed).is_err() {
         return Err("a profile capture is already in progress".to_string());
@@ -364,11 +448,15 @@ pub fn start(opts: Options) -> Result<Recorder, String> {
     let opts = Options { hz: opts.hz.clamp(1, 1000), ..opts };
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
+    if opts.mode == Mode::Cpu {
+        CPU_CAPTURE.store(CAPTURE_IDS.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
     ARMED.store(true, Ordering::Relaxed);
     let handle = std::thread::Builder::new()
         .name("wb-obs-profiler".to_string())
         .spawn(move || sampler_loop(opts, stop_flag))
         .map_err(|e| {
+            CPU_CAPTURE.store(0, Ordering::Relaxed);
             ARMED.store(false, Ordering::Relaxed);
             CAPTURING.store(false, Ordering::Release);
             format!("spawning sampler thread: {e}")
@@ -386,68 +474,66 @@ pub fn capture(duration: Duration, opts: Options) -> Result<Profile, String> {
 
 fn sampler_loop(opts: Options, stop: Arc<AtomicBool>) -> (u64, u64, BTreeMap<String, u64>) {
     let period = Duration::from_secs_f64(1.0 / opts.hz as f64);
+    // Wall: samples per path. Cpu: CPU ns per path until the end.
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
     let mut rounds = 0u64;
-    let mut total_weight = 0u64;
-    // On-CPU baseline: tick counts at capture start, so only CPU burned
-    // during the window is attributed.
-    let mut cpu_last: HashMap<u64, u64> = HashMap::new();
-    if opts.mode == Mode::Cpu {
-        for s in stacks().lock().unwrap().iter() {
-            if let Some(t) = cpu_ticks(s.tid) {
-                cpu_last.insert(s.tid, t);
-            }
-        }
-    }
     while !stop.load(Ordering::Acquire) {
         let tick = Instant::now();
         rounds += 1;
-        let snapshot: Vec<Arc<ShadowStack>> = {
-            let mut g = stacks().lock().unwrap();
-            g.retain(|s| s.alive.load(Ordering::Relaxed));
-            g.iter().map(Arc::clone).collect()
-        };
-        for s in &snapshot {
-            let weight = match opts.mode {
-                Mode::Wall => 1,
-                Mode::Cpu => {
-                    let Some(now) = cpu_ticks(s.tid) else { continue };
-                    let last = *cpu_last.get(&s.tid).unwrap_or(&now);
-                    cpu_last.insert(s.tid, now);
-                    now.saturating_sub(last)
-                }
-            };
-            if weight == 0 || s.hidden.load(Ordering::Relaxed) {
-                continue;
-            }
-            let Some((ids, depth)) = read_stack(s) else { continue };
-            let path = if ids.is_empty() {
-                if opts.mode == Mode::Wall {
-                    continue; // idle thread: wall profiles show only live spans
-                }
-                "(no span)".to_string()
-            } else {
-                let mut p = String::new();
-                for (i, id) in ids.iter().enumerate() {
-                    if i > 0 {
-                        p.push(';');
-                    }
-                    p.push_str(&sanitize_frame(resolve(*id)));
-                }
-                if depth > MAX_FRAMES {
-                    p.push_str(";(truncated)");
-                }
-                p
-            };
-            *folded.entry(path).or_insert(0) += weight;
-            total_weight += weight;
-        }
+        sample_round(opts.mode, &mut folded);
         let elapsed = tick.elapsed();
         if elapsed < period {
             std::thread::sleep(period - elapsed);
         }
     }
+    if opts.mode == Mode::Cpu {
+        // Collect what was charged since the last round, then report
+        // whole microseconds.
+        sample_round(Mode::Cpu, &mut folded);
+        folded = folded
+            .into_iter()
+            .map(|(path, ns)| (path, ns / 1000))
+            .filter(|&(_, us)| us > 0)
+            .collect();
+    }
+    let total_weight = folded.values().sum();
     (rounds, total_weight, folded)
+}
+
+/// One sampling round: in wall mode, weight 1 for every visible thread's
+/// live stack; in CPU mode, every thread's charges since the last round.
+fn sample_round(mode: Mode, folded: &mut BTreeMap<String, u64>) {
+    // Dead mirrors are pruned here but still read this once: a thread
+    // that exited since the last round may have left CPU charges.
+    let snapshot: Vec<Arc<ShadowStack>> = {
+        let mut g = stacks().lock().unwrap();
+        let all = g.clone();
+        g.retain(|s| s.alive.load(Ordering::Relaxed));
+        all
+    };
+    for s in &snapshot {
+        match mode {
+            Mode::Wall => {
+                if !s.alive.load(Ordering::Relaxed) || s.hidden.load(Ordering::Relaxed) {
+                    continue;
+                }
+                // An empty stack is an idle thread: wall profiles show
+                // only live spans.
+                match read_stack(s) {
+                    Some(ids) if !ids.is_empty() => {
+                        *folded.entry(fold_path(&ids)).or_insert(0) += 1
+                    }
+                    _ => {}
+                }
+            }
+            Mode::Cpu => {
+                let charged = std::mem::take(&mut s.cpu.lock().unwrap().charged);
+                for (ids, ns) in charged {
+                    *folded.entry(fold_path(&ids)).or_insert(0) += ns;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(all(test, not(feature = "off")))]
@@ -608,38 +694,72 @@ mod tests {
         panic_consistency(4);
     }
 
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn cpu_capture_attributes_ticks_to_spinning_span() {
-        let _guard = crate::TEST_FLAG_LOCK.lock().unwrap();
-        let rec = start(Options { hz: 99, mode: Mode::Cpu }).expect("start");
-        std::thread::spawn(|| {
-            let _s = span::enter("test.prof.cpu_spin");
-            let t0 = Instant::now();
-            let mut x = 0u64;
-            while t0.elapsed() < Duration::from_millis(400) {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                std::hint::black_box(x);
-            }
-        })
-        .join()
-        .unwrap();
-        let p = rec.stop();
-        let spin: u64 = p
-            .folded
-            .iter()
-            .filter(|(k, _)| k.contains("test.prof.cpu_spin"))
-            .map(|(_, w)| w)
-            .sum();
-        // 400 ms of spin is ≥ 40 clock ticks at 100 Hz; allow heavy
-        // scheduling noise but require the span to show up at all.
-        assert!(spin >= 1, "spinning span earned no CPU ticks: {:?}", p.folded);
+    /// Spins the calling thread for `d` of wall time.
+    fn spin(d: Duration) {
+        let t0 = Instant::now();
+        let mut x = 0u64;
+        while t0.elapsed() < d {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            std::hint::black_box(x);
+        }
+    }
+
+    /// Total CPU µs folded under paths containing `frame`.
+    fn weight_under(p: &Profile, frame: &str) -> u64 {
+        p.folded.iter().filter(|(k, _)| k.contains(frame)).map(|(_, w)| w).sum()
     }
 
     #[cfg(target_os = "linux")]
     #[test]
-    fn cpu_ticks_parses_own_thread() {
-        let t = cpu_ticks(current_tid());
-        assert!(t.is_some(), "/proc/self/task/<tid>/stat must parse");
+    fn cpu_capture_charges_a_spinning_span() {
+        let _guard = crate::TEST_FLAG_LOCK.lock().unwrap();
+        let rec = start(Options { hz: 99, mode: Mode::Cpu }).expect("start");
+        std::thread::spawn(|| {
+            let _s = span::enter("test.prof.cpu_spin");
+            spin(Duration::from_millis(400));
+        })
+        .join()
+        .unwrap();
+        let p = rec.stop();
+        // 400 ms of wall-clock spin; allow heavy scheduling noise but
+        // require a real share of it on the span.
+        let spun = weight_under(&p, "test.prof.cpu_spin");
+        assert!(spun >= 40_000, "spinning span charged only {spun} µs: {:?}", p.folded);
+        assert_eq!(p.total_weight, p.folded.values().sum::<u64>());
+    }
+
+    /// A thread that burns CPU inside a span and then blocks before the
+    /// next sampling round is charged at its span exit — never left to
+    /// whatever stack it happens to be on (none) at the sample instant.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn cpu_burned_before_blocking_is_charged_to_its_span() {
+        let _guard = crate::TEST_FLAG_LOCK.lock().unwrap();
+        // One round per second: the only rounds fall at the start and at
+        // stop, while the worker holds no span.
+        let rec = start(Options { hz: 1, mode: Mode::Cpu }).expect("start");
+        std::thread::spawn(|| {
+            for _ in 0..3 {
+                let _s = span::enter("test.prof.burst");
+                spin(Duration::from_millis(50));
+            }
+            std::thread::sleep(Duration::from_millis(300));
+        })
+        .join()
+        .unwrap();
+        let p = rec.stop();
+        let burst = weight_under(&p, "test.prof.burst");
+        let idle = p.folded.get("(no span)").copied().unwrap_or(0);
+        assert!(burst >= 30_000, "burst charged only {burst} µs: {:?}", p.folded);
+        assert!(burst > 10 * idle, "CPU leaked to (no span): {:?}", p.folded);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn thread_cpu_clock_advances_with_work() {
+        let t0 = thread_cpu_ns();
+        spin(Duration::from_millis(20));
+        let spent = thread_cpu_ns() - t0;
+        assert!(spent > 1_000_000, "20 ms of spin read as {spent} ns of CPU");
     }
 }

@@ -1,9 +1,12 @@
 //! Bounded retry with exponential backoff and decorrelated jitter.
 //!
-//! Checkpoint, metrics and trace file writes are the call sites: transient
-//! I/O failures (full pipe, busy volume, injected faults) should be
-//! retried a few times with growing, jittered sleeps rather than either
-//! crashing the run or hammering the filesystem in a tight loop.
+//! Checkpoint, metrics and trace file writes and the crawl's page fetch
+//! are the call sites: transient I/O failures (an interrupted call, a
+//! busy volume, injected faults) should be retried a few times with
+//! growing, jittered sleeps rather than either crashing the run or
+//! hammering the filesystem in a tight loop. Errors that would fail the
+//! same way again — a missing directory, a permission error, a path with
+//! no file name, a non-UTF-8 page — return at once (see `is_transient`).
 //!
 //! The schedule is the decorrelated-jitter variant of exponential
 //! backoff: each delay is drawn uniformly from `[base, prev * 3]` and
@@ -17,6 +20,7 @@
 //! `obs.retry.exhausted` (operations that failed every attempt) and the
 //! `obs.retry.sleep_ms` histogram of the delays actually slept.
 
+use std::io;
 use std::time::Duration;
 
 /// Parameters of one retry schedule.
@@ -92,19 +96,34 @@ impl Backoff {
     }
 }
 
+/// Whether an I/O error may clear on a retry: `Interrupted`,
+/// `WouldBlock`, `TimedOut`, and `Other` — the kind injected chaos faults
+/// carry (`wb_chaos`), standing in for any transient failure.
+fn is_transient(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::Interrupted
+            | io::ErrorKind::WouldBlock
+            | io::ErrorKind::TimedOut
+            | io::ErrorKind::Other
+    )
+}
+
 /// Runs `op` up to [`BackoffConfig::max_attempts`] times, sleeping the
-/// backoff schedule between failures. Returns the first success, or the
-/// last error once the budget is exhausted. Each re-attempt is logged at
-/// warn with `what` and the error that caused it.
-pub fn retry<T, E: std::fmt::Display>(
+/// backoff schedule between transient failures (`is_transient`).
+/// Returns the first success, the first permanent error, or the last
+/// error once the budget is exhausted. Each re-attempt is logged at warn
+/// with `what` and the error that caused it.
+pub fn retry<T>(
     what: &str,
     cfg: BackoffConfig,
-    mut op: impl FnMut() -> Result<T, E>,
-) -> Result<T, E> {
+    mut op: impl FnMut() -> io::Result<T>,
+) -> io::Result<T> {
     let mut backoff = Backoff::new(cfg);
     loop {
         match op() {
             Ok(v) => return Ok(v),
+            Err(e) if !is_transient(&e) => return Err(e),
             Err(e) => match backoff.next_delay() {
                 Some(delay) => {
                     crate::counter!("obs.retry.attempts");
@@ -155,11 +174,10 @@ mod tests {
     #[test]
     fn retry_returns_first_success() {
         let calls = AtomicU32::new(0);
-        let out: Result<u32, std::io::Error> =
-            retry("test op", cfg(), || match calls.fetch_add(1, Ordering::SeqCst) {
-                0 | 1 => Err(std::io::Error::other("transient")),
-                n => Ok(n),
-            });
+        let out = retry("test op", cfg(), || match calls.fetch_add(1, Ordering::SeqCst) {
+            0 | 1 => Err(io::Error::other("transient")),
+            n => Ok(n),
+        });
         assert_eq!(out.unwrap(), 2);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
     }
@@ -167,10 +185,31 @@ mod tests {
     #[test]
     fn retry_surfaces_last_error_when_exhausted() {
         let calls = AtomicU32::new(0);
-        let out: Result<(), String> = retry("test op", cfg(), || {
-            Err(format!("fail #{}", calls.fetch_add(1, Ordering::SeqCst)))
+        let out: io::Result<()> = retry("test op", cfg(), || {
+            Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("fail #{}", calls.fetch_add(1, Ordering::SeqCst)),
+            ))
         });
-        assert_eq!(out.unwrap_err(), "fail #4");
+        assert_eq!(out.unwrap_err().to_string(), "fail #4");
         assert_eq!(calls.load(Ordering::SeqCst), 5, "max_attempts tries total");
+    }
+
+    #[test]
+    fn permanent_errors_return_without_retrying() {
+        for kind in [
+            io::ErrorKind::NotFound,
+            io::ErrorKind::PermissionDenied,
+            io::ErrorKind::InvalidInput,
+            io::ErrorKind::InvalidData,
+        ] {
+            let calls = AtomicU32::new(0);
+            let out: io::Result<()> = retry("test op", cfg(), || {
+                calls.fetch_add(1, Ordering::SeqCst);
+                Err(io::Error::from(kind))
+            });
+            assert_eq!(out.unwrap_err().kind(), kind);
+            assert_eq!(calls.load(Ordering::SeqCst), 1, "{kind:?} must not be retried");
+        }
     }
 }

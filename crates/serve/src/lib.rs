@@ -36,7 +36,7 @@
 //!   served in order. Framing errors always close the connection.
 //! * **Replica sharding** — briefing fans out over `--replicas`
 //!   independent lanes ([`replica`]): each owns an LRU cache, a
-//!   micro-batcher with its own executor, and a circuit breaker, routed
+//!   micro-batcher with its own executors, and a circuit breaker, routed
 //!   by a consistent-hash ring over the page-content hash so repeat pages
 //!   hit the same hot cache and one lane's failures trip only its own
 //!   breaker.

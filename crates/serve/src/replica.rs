@@ -1,14 +1,15 @@
 //! Model replicas: N independent serving lanes over one shared model.
 //!
-//! Each replica owns its own [`Batcher`] (drained by a dedicated executor
-//! thread), its own LRU response cache and its own circuit breaker; the
-//! model weights themselves are shared read-only (`brief_batch` takes
-//! `&self` and is pure), so replicas cost threads and cache memory, not
-//! model copies. Requests are routed by a consistent-hash ring over the
-//! page-content hash: the same page always lands on the same replica, so
-//! each per-replica cache stays hot on its shard of the page population
-//! instead of every cache holding a diluted copy of everything, and one
-//! replica's model panics trip only its own breaker.
+//! Each replica owns its own [`Batcher`] (served by `min(rayon threads,
+//! workers)` executor threads, one page per take), its own LRU response
+//! cache and its own circuit breaker; the model weights themselves are
+//! shared read-only (`brief_batch` takes `&self` and is pure), so replicas
+//! cost threads and cache memory, not model copies. Requests are routed
+//! by a consistent-hash ring over the page-content hash: the same page
+//! always lands on the same replica, so each per-replica cache stays hot
+//! on its shard of the page population instead of every cache holding a
+//! diluted copy of everything, and one replica's model panics trip only
+//! its own breaker.
 //!
 //! The ring uses virtual nodes (64 per replica) so the key space splits
 //! evenly; routing is a binary search over the sorted point list.
@@ -27,7 +28,7 @@ const VNODES: usize = 64;
 pub struct Replica {
     /// Position in the set (used for per-replica metric names).
     pub index: usize,
-    /// This replica's job queue, drained by its own executor thread.
+    /// This replica's job queue, served by its own executor threads.
     pub batcher: Batcher,
     /// This replica's response cache (keys consistent-hashed here).
     pub cache: Mutex<LruCache<Arc<String>>>,
@@ -106,7 +107,7 @@ impl ReplicaSet {
     }
 
     /// Closes every batcher (pending jobs still run; executors exit once
-    /// drained).
+    /// their queue is drained).
     pub fn close_all(&self) {
         for r in &self.replicas {
             r.batcher.close();

@@ -1,7 +1,7 @@
 //! The briefing server: a poll-based event loop ([`crate::event`]) feeds
 //! parsed requests through a bounded work queue into a fixed worker pool,
 //! with briefing fan-out sharded across model replicas
-//! ([`crate::replica`]) — each with its own batch executor, LRU response
+//! ([`crate::replica`]) — each with its own batch executors, LRU response
 //! cache and circuit breaker, consistent-hashed by page content.
 //!
 //! Load-shedding contract: an accepted connection is always answered —
@@ -188,6 +188,10 @@ pub fn start(briefer: Briefer, cfg: ServeConfig) -> io::Result<ServerHandle> {
                 .spawn(move || worker_loop(&shared, &rx))?,
         );
     }
+    // No more pages than workers can be in the model at once, so more
+    // executors than that would only sit idle.
+    let executors_per_replica = rayon::current_num_threads().min(workers);
+    wb_obs::gauge!("serve.executors", (executors_per_replica * replica_count) as f64);
     let mut executors = Vec::with_capacity(replica_count);
     for r in 0..replica_count {
         let shared = Arc::clone(&shared);
@@ -195,7 +199,12 @@ pub fn start(briefer: Briefer, cfg: ServeConfig) -> io::Result<ServerHandle> {
             move || {
                 let delay = Duration::from_millis(shared.cfg.handler_delay_ms);
                 let replica = &shared.replicas.all()[r];
-                replica.batcher.run_executor(&shared.briefer, delay, &replica.breaker);
+                replica.batcher.run_executors(
+                    executors_per_replica,
+                    &shared.briefer,
+                    delay,
+                    &replica.breaker,
+                );
             },
         )?);
     }
@@ -251,7 +260,7 @@ impl ServerHandle {
             let _ = w.join();
         }
         // All workers are done, so no further job can arrive: close the
-        // batchers and let each executor finish its final batch.
+        // batchers and let the executors drain what is still queued.
         self.shared.replicas.close_all();
         for e in self.executors.drain(..) {
             let _ = e.join();
@@ -515,8 +524,12 @@ fn handle_pprof(req: &http::Request) -> Reply {
         Ok(profile) => {
             let collapsed = profile.to_collapsed();
             if format == "svg" {
+                let unit = match profile.mode {
+                    wb_obs::profile::Mode::Wall => "samples",
+                    wb_obs::profile::Mode::Cpu => "CPU µs",
+                };
                 let title = format!(
-                    "wb serve {} profile — {:.1}s at {} hz, {} samples",
+                    "wb serve {} profile — {:.1}s at {} hz, {} {unit}",
                     profile.mode.as_str(),
                     profile.duration.as_secs_f64(),
                     profile.hz,

@@ -43,12 +43,12 @@ pub struct StageTimings {
     /// Hashing the body and probing (plus, on miss, later filling) the
     /// response cache.
     pub cache_us: u64,
-    /// Submitted job waiting for the batch executor to drain it.
+    /// Submitted job waiting for an executor to take it.
     pub batch_wait_us: u64,
-    /// The model running this request's batch (includes any configured
+    /// The model briefing this request's page (includes any configured
     /// `--handler-delay-ms` stall, which simulates model cost).
     pub model_us: u64,
-    /// Serialising the batch's briefs to response JSON.
+    /// Serialising the page's brief to response JSON.
     pub serialize_us: u64,
     /// Writing the response to the client socket.
     pub write_us: u64,

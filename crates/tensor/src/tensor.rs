@@ -24,7 +24,11 @@ use std::fmt;
 /// Minimum output rows before a matmul fans out over the rayon pool.
 pub const PAR_MIN_ROWS: usize = 64;
 /// Minimum multiply-accumulates (`m·k·n`) before a matmul goes parallel;
-/// below this the thread hand-off costs more than the arithmetic.
+/// below this the thread hand-off costs more than the arithmetic. The
+/// vendored rayon keeps no persistent pool, so that hand-off is an OS
+/// thread spawn per worker per call — unless the caller is itself a pool
+/// worker, where `rayon::current_num_threads()` is 1 and the call stays
+/// serial.
 pub const PAR_MIN_MACS: usize = 1 << 18;
 /// Minimum elements before element-wise / row-wise ops go parallel.
 pub const PAR_MIN_ELEMS: usize = 1 << 16;

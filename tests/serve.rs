@@ -225,21 +225,8 @@ fn brief_is_byte_identical_to_cli_and_cache_skips_the_model() {
     assert_eq!((status, health.as_str()), (200, "{\"status\":\"ok\"}"));
 
     // The served brief must match `wb brief --json` byte-for-byte.
-    let page_file = std::env::temp_dir().join("wb_serve_test_page.html");
-    std::fs::write(&page_file, PAGE).unwrap();
-    let out = wb()
-        .args([
-            "brief",
-            "--model",
-            model_path().to_str().unwrap(),
-            "--json",
-            page_file.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run wb brief");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let cli_json = stdout.split_once("===\n").map(|(_, rest)| rest).unwrap_or(&stdout).trim();
+    let cli_json = cli_brief_json(PAGE, "wb_serve_test_page.html");
+    let cli_json = cli_json.as_str();
 
     let (status, headers, body) = post_brief(addr, PAGE);
     assert_eq!(status, 200, "{body}");
@@ -273,7 +260,75 @@ fn brief_is_byte_identical_to_cli_and_cache_skips_the_model() {
 
     let _ = std::fs::remove_file(&metrics_out);
     let _ = std::fs::remove_file(&trace_out);
+
+    // Concurrent distinct misses run side by side on separate executors
+    // and still answer exactly what the CLI prints, at one pool thread
+    // and at four. Every executor is a pool worker, so no matmul fans out.
+    let pages: Vec<String> = (0..6).map(long_page).collect();
+    let expected: Vec<String> = pages
+        .iter()
+        .enumerate()
+        .map(|(i, page)| cli_brief_json(page, &format!("wb_serve_test_page_{i}.html")))
+        .collect();
+    for threads in [1usize, 4] {
+        let server = spawn_server_env(
+            &["--workers", "4", "--cache-capacity", "0"],
+            &[("RAYON_NUM_THREADS", &threads.to_string())],
+        );
+        let addr = server.addr;
+        let clients: Vec<_> = pages
+            .iter()
+            .cloned()
+            .map(|page| std::thread::spawn(move || post_brief(addr, &page)))
+            .collect();
+        for (client, cli_json) in clients.into_iter().zip(&expected) {
+            let (status, _, body) = client.join().expect("client thread");
+            assert_eq!(status, 200, "{body}");
+            assert_eq!(
+                &body, cli_json,
+                "served brief differs from the CLI at {threads} threads"
+            );
+        }
+        let (_, _, metrics) = get(addr, "/metrics");
+        let v: serde_json::Value = serde_json::from_str(&metrics).expect("metrics JSON");
+        assert_eq!(num_at(&v, &["gauges", "serve.executors"]), threads as f64);
+        assert_eq!(counter(&v, "tensor.matmul.dispatch.parallel"), 0.0);
+        shutdown(server);
+    }
+}
+
+/// `wb brief --json` of one page, written to `file_name` in the temp
+/// directory: the bytes `/brief` must return for it.
+fn cli_brief_json(page: &str, file_name: &str) -> String {
+    let page_file = std::env::temp_dir().join(file_name);
+    std::fs::write(&page_file, page).unwrap();
+    let out = wb()
+        .args([
+            "brief",
+            "--model",
+            model_path().to_str().unwrap(),
+            "--json",
+            page_file.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run wb brief");
     let _ = std::fs::remove_file(&page_file);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    stdout.split_once("===\n").map(|(_, rest)| rest).unwrap_or(&stdout).trim().to_string()
+}
+
+/// A page long enough that its attention matmuls cross the parallel
+/// threshold, distinct per `i`.
+fn long_page(i: usize) -> String {
+    let mut body = String::from("<html><body><section>");
+    for k in 0..12 {
+        body.push_str(&format!(
+            "<p>great velcro books {i} {k} , price : $ 9.99 . \
+             sturdy fastener straps hold the cover shut .</p>"
+        ));
+    }
+    body + "</section></body></html>"
 }
 
 /// 64 concurrent in-flight requests, every one accepted and answered with
