@@ -144,8 +144,6 @@ struct ShadowStack {
     frames: [AtomicU32; MAX_FRAMES],
     /// Cleared when the owning thread exits; pruned by the sampler.
     alive: AtomicBool,
-    /// Excluded from sampling (the thread running a capture request).
-    hidden: AtomicBool,
     /// On-CPU charges, written by the owner and drained by the sampler.
     cpu: Mutex<CpuLedger>,
 }
@@ -218,7 +216,6 @@ fn register_current_thread() -> ShadowHandle {
         depth: AtomicUsize::new(0),
         frames: std::array::from_fn(|_| AtomicU32::new(0)),
         alive: AtomicBool::new(true),
-        hidden: AtomicBool::new(false),
         cpu: Mutex::new(CpuLedger::default()),
     });
     stacks().lock().unwrap().push(Arc::clone(&s));
@@ -273,7 +270,7 @@ fn charge_cpu(s: &ShadowStack, capture: u64) {
     let spent = if ledger.capture == capture { now.saturating_sub(ledger.mark_ns) } else { 0 };
     ledger.capture = capture;
     ledger.mark_ns = now;
-    if spent == 0 || s.hidden.load(Ordering::Relaxed) {
+    if spent == 0 {
         return;
     }
     let depth = s.depth.load(Ordering::Relaxed);
@@ -291,27 +288,6 @@ fn charge_cpu(s: &ShadowStack, capture: u64) {
         None => {
             ledger.charged.insert(key[..len].to_vec(), spent);
         }
-    }
-}
-
-/// Hides the calling thread from the sampler while the guard lives.
-/// The `/pprof` handler uses this so the capture request's own
-/// long-lived `serve.request` span does not pollute every profile.
-pub fn hide_current_thread() -> HiddenGuard {
-    let arc = SHADOW.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        Arc::clone(&slot.get_or_insert_with(register_current_thread).0)
-    });
-    arc.hidden.store(true, Ordering::Relaxed);
-    HiddenGuard(arc)
-}
-
-/// Re-exposes the thread to the sampler when dropped.
-pub struct HiddenGuard(Arc<ShadowStack>);
-
-impl Drop for HiddenGuard {
-    fn drop(&mut self) {
-        self.0.hidden.store(false, Ordering::Relaxed);
     }
 }
 
@@ -464,14 +440,6 @@ pub fn start(opts: Options) -> Result<Recorder, String> {
     Ok(Recorder { stop, handle, opts, started: Instant::now() })
 }
 
-/// Runs a timed capture: [`start`], sleep, [`Recorder::stop`]. The
-/// calling thread blocks for the full duration.
-pub fn capture(duration: Duration, opts: Options) -> Result<Profile, String> {
-    let rec = start(opts)?;
-    std::thread::sleep(duration);
-    Ok(rec.stop())
-}
-
 fn sampler_loop(opts: Options, stop: Arc<AtomicBool>) -> (u64, u64, BTreeMap<String, u64>) {
     let period = Duration::from_secs_f64(1.0 / opts.hz as f64);
     // Wall: samples per path. Cpu: CPU ns per path until the end.
@@ -514,7 +482,7 @@ fn sample_round(mode: Mode, folded: &mut BTreeMap<String, u64>) {
     for s in &snapshot {
         match mode {
             Mode::Wall => {
-                if !s.alive.load(Ordering::Relaxed) || s.hidden.load(Ordering::Relaxed) {
+                if !s.alive.load(Ordering::Relaxed) {
                     continue;
                 }
                 // An empty stack is an idle thread: wall profiles show
@@ -599,25 +567,6 @@ mod tests {
         // The slot frees on stop.
         let rec2 = start(Options::default()).expect("slot must free");
         let _ = rec2.stop();
-    }
-
-    #[test]
-    fn hidden_threads_are_excluded() {
-        let _guard = crate::TEST_FLAG_LOCK.lock().unwrap();
-        let rec = start(Options::default()).expect("start");
-        std::thread::spawn(|| {
-            let _hide = hide_current_thread();
-            let _s = span::enter("test.prof.hidden_span");
-            std::thread::sleep(Duration::from_millis(120));
-        })
-        .join()
-        .unwrap();
-        let p = rec.stop();
-        assert!(
-            !p.folded.keys().any(|k| k.contains("test.prof.hidden_span")),
-            "hidden thread leaked into {:?}",
-            p.folded
-        );
     }
 
     #[test]

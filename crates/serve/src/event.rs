@@ -1,6 +1,6 @@
 //! The readiness event loop: one thread multiplexing every connection
 //! with `poll(2)` ([`crate::sys`]), so concurrent connections are bounded
-//! by fd limits instead of worker-thread count.
+//! by fd limits instead of thread count.
 //!
 //! Connection lifecycle is a per-connection state machine over a
 //! persistent read buffer:
@@ -8,84 +8,58 @@
 //! ```text
 //!           ┌────────────── keep-alive ───────────────┐
 //!           ▼                                         │
-//! accept → Reading ──parsed──► Processing ──done──► Writing ──close──► (drain) → closed
-//!           │                     (worker)             ▲
-//!           └──── inline cache hit ────────────────────┘
+//! accept → Reading ──miss──► Processing ──done──► Writing ──close──► (drain) → closed
+//!           │                (executor)               ▲
+//!           └──── cache hit / control route ──────────┘
 //! ```
 //!
 //! - **Reading**: poll for `POLLIN`, append to the connection buffer,
 //!   drive [`RequestParser`] incrementally. Bytes beyond one request stay
 //!   in the buffer — pipelined requests are served, not discarded.
-//! - **Processing**: the parsed request is in the bounded work queue; the
-//!   connection is *not* polled (nothing to do until the worker finishes;
-//!   polling it would busy-spin on `POLLHUP` from half-closed clients).
+//! - **Processing**: the request's page is in its replica's queue (or a
+//!   `/pprof` capture is running); the connection is *not* polled
+//!   (nothing to do until the completion arrives; polling it would
+//!   busy-spin on `POLLHUP` from half-closed clients). One that outlives
+//!   the request timeout is answered `503` and closed.
 //! - **Writing**: poll for `POLLOUT` until the rendered response is fully
 //!   flushed, then either return to Reading (keep-alive) or close.
 //! - **Draining**: error responses linger briefly reading-and-discarding
 //!   so the close is a clean FIN instead of an RST that could destroy the
 //!   client's copy of the error (see [`DRAIN_WINDOW`] for the rationale).
 //!
-//! Cache hits are answered inline on this thread (`try_lock` only — under
-//! contention the request falls through to a worker): a hot-cache request
-//! costs one read, one hash, one lookup and one write, no cross-thread
-//! handoff. That is what lets keep-alive serving run at connection speed.
+//! A `POST /brief` is handled here end to end except for the model: one
+//! cache probe (a hit is answered at once: one read, one hash, one
+//! lookup, one write), breaker admission, then the body moves into a
+//! job on the routed replica's queue. Control routes run inline. Every
+//! response and its telemetry is rendered in [`EventLoop::respond`].
 //!
-//! Completions return from workers via a mutex'd vector plus a self-pipe
-//! ([`sys::WakePipe`]) that kicks the loop out of `poll`. A generation
-//! counter on every connection slot guards against a completion landing
-//! on a recycled slot.
+//! Executors (and `/pprof` capture threads) hand their results back via
+//! a mutex'd vector plus a self-pipe ([`sys::WakePipe`]) that kicks the
+//! loop out of `poll`. A generation counter on every connection slot
+//! guards against a completion landing on a recycled slot.
 
+use crate::batch::{BriefOutcome, Completion, Job};
+use crate::breaker::Admission;
 use crate::cache::{fnv1a, Fingerprint};
 use crate::http::{self, HttpError, Parsed, RequestParser};
-use crate::server::{self, Shared};
+use crate::server::{self, Reply, Shared};
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::telemetry::{self, StageTimings};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// One parsed request handed to the worker pool.
-pub(crate) struct WorkItem {
-    /// Slot index of the connection that sent it.
-    pub conn: usize,
-    /// Generation of that slot when dispatched (guards recycled slots).
-    pub generation: u64,
-    /// The parsed request.
-    pub req: http::Request,
-    /// When the item entered the work queue (`queue_wait` stage t0).
-    pub queued: Instant,
-    /// When the request's first byte arrived (end-to-end latency t0).
-    pub started: Instant,
-    /// Microseconds from first byte to fully parsed.
-    pub parse_us: u64,
-    /// Whether the server side permits keep-alive for this response (the
-    /// client's own `Connection:` preference is applied by the worker).
-    pub allow_keep_alive: bool,
-    /// Page hash + fingerprint, precomputed by the loop for `/brief`.
-    pub key_fp: Option<(u64, Fingerprint)>,
-    /// The loop already probed the replica cache and missed, so the
-    /// worker should count the miss without probing again.
-    pub cache_probed: bool,
+/// Off-loop work finished for a `Processing` connection.
+pub(crate) enum Done {
+    /// An executor briefed (or expired) the connection's page.
+    Brief(Completion),
+    /// A `/pprof` capture thread rendered its response.
+    Pprof { conn: usize, generation: u64, reply: Reply },
 }
 
-/// A worker's finished response, to be flushed by the event loop.
-pub(crate) struct Done {
-    /// Slot index the response belongs to.
-    pub conn: usize,
-    /// Generation the request was dispatched under.
-    pub generation: u64,
-    /// The fully rendered response bytes.
-    pub bytes: Vec<u8>,
-    /// Keep the connection open after flushing.
-    pub keep_alive: bool,
-    /// Record the flush duration as the `write` stage (data plane only).
-    pub record_write: bool,
-}
-
-/// Worker → event-loop completion channel: a locked vector (completions
+/// Executor → event-loop completion channel: a locked vector (completions
 /// are tiny and rare relative to poll iterations) plus a self-pipe that
 /// interrupts `poll`.
 pub(crate) struct Completions {
@@ -119,9 +93,25 @@ impl Completions {
         self.wake.drain();
     }
 
-    fn drain(&self) -> Vec<Done> {
+    /// Takes every queued completion.
+    pub fn drain(&self) -> Vec<Done> {
         std::mem::take(&mut *self.done.lock().unwrap())
     }
+}
+
+/// A parsed request the loop has not answered yet: what rendering its
+/// response needs.
+struct InFlight {
+    id: String,
+    /// Client and server both allow keeping the connection open.
+    keep_alive: bool,
+    /// First byte of the request (end-to-end latency t0).
+    started: Instant,
+    timings: StageTimings,
+    /// `POST /brief`: feeds the serving histograms and `Server-Timing`.
+    data_plane: bool,
+    /// While `Processing` a brief: when the request timeout answers 503.
+    deadline: Option<Instant>,
 }
 
 enum ConnState {
@@ -138,6 +128,8 @@ struct Conn {
     /// Unconsumed request bytes (survives across requests — pipelining).
     buf: Vec<u8>,
     parser: RequestParser,
+    /// The request handed off while `Processing`.
+    inflight: Option<InFlight>,
     write_buf: Vec<u8>,
     written: usize,
     keep_alive_after_write: bool,
@@ -193,7 +185,6 @@ const DRAIN_LIMIT: usize = 64 * 1024;
 pub(crate) struct EventLoop {
     shared: Arc<Shared>,
     listener: TcpListener,
-    work_tx: SyncSender<WorkItem>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_generation: u64,
@@ -203,12 +194,14 @@ pub(crate) struct EventLoop {
     idle_timeout: Option<Duration>,
     max_requests: u64,
     max_conns: usize,
+    /// Data-plane responses so far, for `--access-log-sample`.
+    access_log_seq: u64,
 }
 
 /// Runs the event loop until shutdown completes (`stopping` set and every
 /// connection retired). Owns the listener; dropping it on return is what
 /// closes the port.
-pub(crate) fn run(shared: Arc<Shared>, listener: TcpListener, work_tx: SyncSender<WorkItem>) {
+pub(crate) fn run(shared: Arc<Shared>, listener: TcpListener) {
     let timeout = Duration::from_millis(shared.cfg.request_timeout_ms.max(1));
     let idle_timeout = match shared.cfg.idle_timeout_ms {
         0 => None,
@@ -219,7 +212,6 @@ pub(crate) fn run(shared: Arc<Shared>, listener: TcpListener, work_tx: SyncSende
         max_conns: shared.cfg.max_conns.max(1),
         shared,
         listener,
-        work_tx,
         conns: Vec::new(),
         free: Vec::new(),
         next_generation: 0,
@@ -227,6 +219,7 @@ pub(crate) fn run(shared: Arc<Shared>, listener: TcpListener, work_tx: SyncSende
         scratch: vec![0u8; 16 * 1024],
         timeout,
         idle_timeout,
+        access_log_seq: 0,
     }
     .run_loop();
 }
@@ -257,8 +250,8 @@ impl EventLoop {
                 let events = match c.state {
                     ConnState::Reading | ConnState::Draining => POLLIN,
                     ConnState::Writing => POLLOUT,
-                    // Not polled: nothing to do until the worker's
-                    // completion arrives via the wake pipe.
+                    // Not polled: nothing to do until the completion
+                    // arrives via the wake pipe.
                     ConnState::Processing => continue,
                 };
                 fds.push(PollFd::new(raw_fd(&c.stream), events));
@@ -306,7 +299,11 @@ impl EventLoop {
                 }
                 ConnState::Writing => consider(c.write_deadline),
                 ConnState::Draining => consider(c.drain_deadline),
-                ConnState::Processing => {}
+                ConnState::Processing => {
+                    if let Some(d) = c.inflight.as_ref().and_then(|r| r.deadline) {
+                        consider(d);
+                    }
+                }
             }
         }
         match next {
@@ -348,6 +345,7 @@ impl EventLoop {
             state: ConnState::Reading,
             buf: Vec::new(),
             parser: RequestParser::new(),
+            inflight: None,
             write_buf: Vec::new(),
             written: 0,
             keep_alive_after_write: false,
@@ -447,7 +445,7 @@ impl EventLoop {
     }
 
     /// Parses as many complete requests out of the buffer as the state
-    /// machine allows (one in flight at a time; an inline cache hit
+    /// machine allows (one in flight at a time; a request answered inline
     /// completes synchronously, so the loop continues into the next
     /// pipelined request).
     fn advance(&mut self, i: usize) {
@@ -500,7 +498,10 @@ impl EventLoop {
         }
     }
 
+    /// Handles one parsed request: answers it inline, or hands it off and
+    /// parks the connection in `Processing` until the completion arrives.
     fn dispatch(&mut self, i: usize, req: http::Request, started: Instant) {
+        let _span = wb_obs::span!("serve.request");
         wb_obs::counter!("serve.requests");
         let parse_us = telemetry::micros_since(started);
         let (generation, served) = {
@@ -512,127 +513,179 @@ impl EventLoop {
         if at_cap {
             wb_obs::counter!("serve.conn.max_requests_closed");
         }
-        let allow_keep_alive = !at_cap && !self.shared.stopping.load(Ordering::Relaxed);
-
-        // Inline fast path: answer hot-cache briefs on this thread, no
-        // worker handoff. try_lock only — contention falls through.
-        let shared = Arc::clone(&self.shared);
-        let mut key_fp = None;
-        let mut cache_probed = false;
-        if req.method == "POST" && req.path == "/brief" && !req.body.is_empty() {
-            let cache_t0 = Instant::now();
-            let key = fnv1a(&req.body);
-            let fp = Fingerprint::of(&req.body);
-            key_fp = Some((key, fp));
-            let replica = shared.replicas.route(key);
-            replica.count_request();
-            if shared.cfg.cache_capacity > 0 {
-                if let Ok(mut cache) = replica.cache.try_lock() {
-                    let hit = cache.get(key, fp).cloned();
-                    drop(cache);
-                    match hit {
-                        Some(json) => {
-                            let cache_us = telemetry::micros_since(cache_t0);
-                            self.reply_cache_hit(
-                                i,
-                                &req,
-                                started,
-                                parse_us,
-                                cache_us,
-                                allow_keep_alive,
-                                &json,
-                            );
-                            return;
-                        }
-                        None => cache_probed = true,
-                    }
-                }
-            }
-        }
-
-        let item = WorkItem {
-            conn: i,
-            generation,
-            req,
-            queued: Instant::now(),
+        let mut r = InFlight {
+            id: telemetry::request_id(req.header("x-request-id")),
+            keep_alive: !at_cap && req.wants_keep_alive(),
             started,
-            parse_us,
-            allow_keep_alive,
-            key_fp,
-            cache_probed,
+            timings: StageTimings { parse_us, ..StageTimings::default() },
+            data_plane: req.method == "POST" && req.path == "/brief",
+            deadline: None,
         };
-        // Count the item in before handing it off: once try_send returns
-        // a worker may already be decrementing, so increment-after would
-        // race the counter below zero.
-        let depth = self.shared.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        match self.work_tx.try_send(item) {
-            Ok(()) => {
-                wb_obs::gauge!("serve.queue.depth", depth as f64);
-                wb_obs::gauge_max!("serve.queue.depth.peak", depth as f64);
-                self.conns[i].as_mut().expect("dispatch on live conn").state =
-                    ConnState::Processing;
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                wb_obs::counter!("serve.rejected.queue_full");
-                let bytes = server::render_counted(
-                    503,
-                    "application/json",
-                    &http::error_body("server overloaded; retry shortly"),
-                    &[("Retry-After", "1")],
-                    false,
-                );
-                self.queue_response(i, bytes, false, false, true);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                self.close(i);
+        let reply = if r.data_plane {
+            self.brief(i, generation, req, &mut r)
+        } else {
+            server::handle_control(&self.shared, &req, i, generation)
+        };
+        match reply {
+            Some(reply) => self.respond(i, r, reply),
+            None => {
+                let c = self.conns[i].as_mut().expect("dispatch on live conn");
+                c.inflight = Some(r);
+                c.state = ConnState::Processing;
             }
         }
     }
 
-    /// Serves a cache hit entirely on the event-loop thread, with full
-    /// telemetry parity with the worker path (id, Server-Timing, metrics,
-    /// access log).
-    #[allow(clippy::too_many_arguments)]
-    fn reply_cache_hit(
-        &mut self,
+    /// `POST /brief`: validate, probe the routed replica's cache once,
+    /// check its breaker, and submit the page to its queue. `None` means
+    /// submitted; the executor's completion answers it.
+    fn brief(
+        &self,
         i: usize,
-        req: &http::Request,
-        started: Instant,
-        parse_us: u64,
-        cache_us: u64,
-        allow_keep_alive: bool,
-        json: &Arc<String>,
+        generation: u64,
+        req: http::Request,
+        r: &mut InFlight,
+    ) -> Option<Reply> {
+        let timeout_ms = self.shared.cfg.request_timeout_ms;
+        if req.body.is_empty() {
+            return Some(Reply::error(400, "POST /brief expects an HTML body", "-"));
+        }
+        // Per-request deadline: `X-Deadline-Ms` can only tighten the
+        // server's request timeout, never extend it. Checked before the
+        // cache, so a bad value is a 400 whether or not the page is cached.
+        let deadline_ms = match req.header("x-deadline-ms") {
+            None => timeout_ms,
+            Some(v) => match v.parse::<u64>() {
+                Ok(ms) if ms > 0 => ms.min(timeout_ms),
+                _ => {
+                    let detail = format!(
+                        "bad X-Deadline-Ms `{v}` (expected a positive number of milliseconds)"
+                    );
+                    return Some(Reply::error(400, &detail, "-"));
+                }
+            },
+        };
+        let body = req.body;
+        let cache_t0 = Instant::now();
+        // The fingerprint guards against FNV-1a collisions: a colliding
+        // page is a miss instead of being served another page's brief.
+        let (key, fp) = (fnv1a(&body), Fingerprint::of(&body));
+        let replica = self.shared.replicas.route(key);
+        replica.count_request();
+        // Cache first: cached pages keep being served even while a circuit
+        // breaker has the model path disabled.
+        if self.shared.cfg.cache_capacity > 0 {
+            let hit = replica.cache.lock().unwrap().get(key, fp).cloned();
+            r.timings.cache_us = telemetry::micros_since(cache_t0);
+            if let Some(json) = hit {
+                wb_obs::counter!("serve.cache.hit");
+                wb_obs::window_counter!("serve.cache.hit");
+                return Some(
+                    Reply::json(200, json.as_bytes().to_vec(), "hit").header("X-Cache", "hit"),
+                );
+            }
+            wb_obs::counter!("serve.cache.miss");
+            wb_obs::window_counter!("serve.cache.miss");
+        }
+        if let Admission::Reject { retry_after_secs } = replica.breaker.admit() {
+            let detail = "briefing disabled after repeated model failures; \
+                          cached pages are still served";
+            return Some(
+                Reply::error(503, detail, "miss")
+                    .header("Retry-After", retry_after_secs.to_string()),
+            );
+        }
+        let now = Instant::now();
+        let job = Job {
+            body,
+            key,
+            fp,
+            deadline: now + Duration::from_millis(deadline_ms.max(1)),
+            submitted: now,
+            conn: i,
+            generation,
+        };
+        if !replica.batcher.submit(job) {
+            wb_obs::counter!("serve.rejected.queue_full");
+            return Some(
+                Reply::error(503, "server overloaded; retry shortly", "miss")
+                    .header("Retry-After", "1")
+                    .closing(),
+            );
+        }
+        r.deadline = Some(now + self.timeout);
+        None
+    }
+
+    /// Renders a response with its request id (plus `Server-Timing` on
+    /// the data plane), records its telemetry, and starts writing it —
+    /// the one place every parsed request is answered.
+    fn respond(&mut self, i: usize, r: InFlight, reply: Reply) {
+        let keep_alive =
+            r.keep_alive && !reply.close && !self.shared.stopping.load(Ordering::Relaxed);
+        let server_timing = r.timings.server_timing();
+        let mut headers: Vec<(&str, &str)> = vec![("X-Request-Id", r.id.as_str())];
+        if r.data_plane {
+            headers.push(("Server-Timing", server_timing.as_str()));
+        }
+        for (name, value) in &reply.extra {
+            headers.push((name, value.as_str()));
+        }
+        let bytes =
+            render_counted(reply.status, reply.content_type, &reply.body, &headers, keep_alive);
+        // Total latency excludes the write stage, which lands in its own
+        // stage histogram at flush time.
+        let total_us = telemetry::micros_since(r.started);
+        if r.data_plane {
+            // Only model-serving requests feed the request-latency
+            // histogram and the windowed live metrics; control-plane
+            // chatter (health probes, metric scrapes) has its own
+            // histogram so it cannot skew serving percentiles.
+            self.finish_data_plane(&r, reply.status, total_us, reply.cache_state);
+        } else {
+            wb_obs::histogram!("serve.control.latency_us", total_us);
+        }
+        self.queue_response(i, bytes, keep_alive, r.data_plane, reply.close);
+    }
+
+    /// Data-plane completion telemetry: latency histograms, live windows,
+    /// stage recording and the (sampled or slow) access log.
+    fn finish_data_plane(
+        &mut self,
+        r: &InFlight,
+        status: u16,
+        total_us: u64,
+        cache_state: &str,
     ) {
-        // Span parity with the worker path: inline hits must appear in
-        // traces as serve.request too, or hit-heavy load looks idle.
-        let _span = wb_obs::span!("serve.request");
-        wb_obs::counter!("serve.cache.hit");
-        wb_obs::window_counter!("serve.cache.hit");
-        let id = telemetry::request_id(req.header("x-request-id"));
-        let t = StageTimings { parse_us, cache_us, ..StageTimings::default() };
-        let st = t.server_timing();
-        let keep_alive = allow_keep_alive && req.wants_keep_alive();
-        let bytes = server::render_counted(
-            200,
-            "application/json",
-            json.as_bytes(),
-            &[("X-Request-Id", &id), ("Server-Timing", &st), ("X-Cache", "hit")],
-            keep_alive,
-        );
-        let total_us = telemetry::micros_since(started);
-        server::finish_data_plane(
-            &self.shared,
-            &id,
-            &req.method,
-            &req.path,
-            200,
-            total_us,
-            "hit",
-            &t,
-        );
-        self.queue_response(i, bytes, keep_alive, true, false);
+        wb_obs::histogram!("serve.request.latency_us", total_us);
+        wb_obs::window_histogram!("serve.request.latency_us", total_us as f64);
+        wb_obs::window_counter!("serve.requests");
+        if status >= 500 {
+            wb_obs::window_counter!("serve.errors");
+        }
+        r.timings.record();
+        let cfg = &self.shared.cfg;
+        let slow =
+            cfg.slow_request_ms > 0 && total_us >= cfg.slow_request_ms.saturating_mul(1000);
+        let sampled = cfg.access_log_sample > 0
+            && self.access_log_seq.is_multiple_of(cfg.access_log_sample);
+        self.access_log_seq += 1;
+        if slow || sampled {
+            let line = telemetry::access_log_line(
+                &r.id,
+                "POST",
+                "/brief",
+                status,
+                total_us,
+                cache_state,
+                &r.timings,
+            );
+            if slow {
+                wb_obs::warn!("slow request: {line}");
+            } else {
+                wb_obs::info!("access: {line}");
+            }
+        }
     }
 
     /// Answers a framing error: counted, logged, always closed (never
@@ -653,7 +706,7 @@ impl EventLoop {
         // The request never parsed, so no inbound id exists; mint one
         // anyway so even rejections are correlatable.
         let id = telemetry::next_request_id();
-        let bytes = server::render_counted(
+        let bytes = render_counted(
             status,
             "application/json",
             &http::error_body(&err.detail()),
@@ -761,16 +814,22 @@ impl EventLoop {
         }
     }
 
+    /// After a response is queued: if it flushed at once and the
+    /// connection is back to Reading with pipelined bytes, parse them.
+    fn continue_pipeline(&mut self, i: usize) {
+        let reading_with_input = matches!(
+            &self.conns[i],
+            Some(c) if matches!(c.state, ConnState::Reading) && !c.buf.is_empty()
+        );
+        if reading_with_input {
+            self.advance(i);
+        }
+    }
+
     fn conn_writable(&mut self, i: usize) {
         if matches!(self.flush(i), Flush::Complete) {
             self.finish_response(i);
-            let reading_with_input = matches!(
-                &self.conns[i],
-                Some(c) if matches!(c.state, ConnState::Reading) && !c.buf.is_empty()
-            );
-            if reading_with_input {
-                self.advance(i);
-            }
+            self.continue_pipeline(i);
         }
     }
 
@@ -799,32 +858,66 @@ impl EventLoop {
         }
     }
 
-    fn apply(&mut self, done: Done) {
-        let live = matches!(
-            self.conns.get(done.conn).and_then(|s| s.as_ref()),
-            Some(c) if c.generation == done.generation
-                && matches!(c.state, ConnState::Processing)
-        );
-        if !live {
-            return; // connection died or slot was recycled mid-flight
+    /// Takes the in-flight request of `conn` if it is still the one the
+    /// completion was issued for — the slot may have been closed (request
+    /// timeout, dead peer) and recycled since.
+    fn take_inflight(&mut self, conn: usize, generation: u64) -> Option<InFlight> {
+        match self.conns.get_mut(conn).and_then(|s| s.as_mut()) {
+            Some(c)
+                if c.generation == generation && matches!(c.state, ConnState::Processing) =>
+            {
+                c.inflight.take()
+            }
+            _ => None,
         }
-        self.queue_response(done.conn, done.bytes, done.keep_alive, done.record_write, false);
-        let reading_with_input = matches!(
-            &self.conns[done.conn],
-            Some(c) if matches!(c.state, ConnState::Reading) && !c.buf.is_empty()
-        );
-        if reading_with_input {
-            self.advance(done.conn);
+    }
+
+    fn apply(&mut self, done: Done) {
+        let (conn, r, reply) = match done {
+            Done::Brief(c) => {
+                let Some(mut r) = self.take_inflight(c.conn, c.generation) else { return };
+                r.timings.queue_wait_us = c.queue_wait_us;
+                r.timings.model_us = c.model_us;
+                r.timings.serialize_us = c.serialize_us;
+                (c.conn, r, self.brief_reply(c.outcome))
+            }
+            Done::Pprof { conn, generation, reply } => {
+                let Some(r) = self.take_inflight(conn, generation) else { return };
+                (conn, r, reply)
+            }
+        };
+        self.respond(conn, r, reply);
+        self.continue_pipeline(conn);
+    }
+
+    /// The response for an executor's outcome.
+    fn brief_reply(&self, outcome: BriefOutcome) -> Reply {
+        match outcome {
+            BriefOutcome::Ok(json) => {
+                if self.shared.cfg.cache_capacity > 0 {
+                    wb_obs::gauge!("serve.cache.size", self.shared.replicas.cache_len() as f64);
+                }
+                Reply::json(200, json.as_bytes().to_vec(), "miss").header("X-Cache", "miss")
+            }
+            BriefOutcome::Unbriefable(detail) => {
+                wb_obs::counter!("serve.unbriefable");
+                Reply::error(422, &detail, "miss")
+            }
+            BriefOutcome::Internal(detail) => Reply::error(500, &detail, "miss"),
+            BriefOutcome::Expired => {
+                Reply::error(504, "request deadline expired before briefing started", "miss")
+            }
         }
     }
 
     /// Enforces every time bound: total-read deadlines (408), idle
-    /// keep-alive timeouts (silent close), stalled writes and expired
-    /// drains.
+    /// keep-alive timeouts (silent close), briefs past the request
+    /// timeout (503, then close), stalled writes and expired drains.
     fn sweep(&mut self, now: Instant) {
         enum Due {
             ReadTimeout,
             IdleClose,
+            BriefTimeout,
             WriteStall,
             DrainDone,
         }
@@ -842,6 +935,11 @@ impl EventLoop {
                             _ => None,
                         },
                     },
+                    ConnState::Processing => match c.inflight.as_ref().and_then(|r| r.deadline)
+                    {
+                        Some(d) if now >= d => Some(Due::BriefTimeout),
+                        _ => None,
+                    },
                     ConnState::Writing if now >= c.write_deadline => Some(Due::WriteStall),
                     ConnState::Draining if now >= c.drain_deadline => Some(Due::DrainDone),
                     _ => None,
@@ -853,6 +951,21 @@ impl EventLoop {
                     wb_obs::counter!("serve.conn.idle_closed");
                     self.close(i);
                 }
+                Some(Due::BriefTimeout) => {
+                    wb_obs::counter!("serve.rejected.timeout");
+                    let c = self.conns[i].as_mut().expect("live conn");
+                    let r = c.inflight.take().expect("processing conn has a request");
+                    // Closing retires this generation: the late completion
+                    // finds no live slot to land on.
+                    let reply = Reply::error(
+                        503,
+                        "briefing did not finish within the request timeout",
+                        "miss",
+                    )
+                    .header("Retry-After", "1")
+                    .closing();
+                    self.respond(i, r, reply);
+                }
                 Some(Due::WriteStall) => {
                     wb_obs::counter!("serve.responses.write_failed");
                     self.close(i);
@@ -862,4 +975,26 @@ impl EventLoop {
             }
         }
     }
+}
+
+fn bump_status(status: u16) {
+    match status / 100 {
+        2 => wb_obs::counter!("serve.responses.2xx"),
+        4 => wb_obs::counter!("serve.responses.4xx"),
+        5 => wb_obs::counter!("serve.responses.5xx"),
+        _ => {}
+    }
+}
+
+/// Renders a complete response and records its status-class counter —
+/// the single choke point for every response the server produces.
+fn render_counted(
+    status: u16,
+    content_type: &str,
+    body: &[u8],
+    extra_headers: &[(&str, &str)],
+    keep_alive: bool,
+) -> Vec<u8> {
+    bump_status(status);
+    http::render_response(status, content_type, body, extra_headers, keep_alive)
 }

@@ -1,10 +1,11 @@
 //! Model replicas: N independent serving lanes over one shared model.
 //!
-//! Each replica owns its own [`Batcher`] (served by `min(rayon threads,
-//! workers)` executor threads, one page per take), its own LRU response
-//! cache and its own circuit breaker; the model weights themselves are
-//! shared read-only (`brief_batch` takes `&self` and is pure), so replicas
-//! cost threads and cache memory, not model copies. Requests are routed
+//! Each replica owns its own bounded [`Batcher`] queue (served by
+//! `min(rayon threads, workers)` executor threads, one page per take),
+//! its own LRU response cache and its own circuit breaker; the model
+//! weights themselves are shared read-only (`brief_batch` takes `&self`
+//! and is pure), so replicas cost threads and cache memory, not model
+//! copies. Requests are routed
 //! by a consistent-hash ring over the page-content hash: the same page
 //! always lands on the same replica, so each per-replica cache stays hot
 //! on its shard of the page population instead of every cache holding a
@@ -24,10 +25,8 @@ use crate::cache::{fnv1a, LruCache};
 /// few percent of the smallest for any replica count this server runs.
 const VNODES: usize = 64;
 
-/// One serving lane: batcher + cache + breaker.
+/// One serving lane: queue + cache + breaker.
 pub struct Replica {
-    /// Position in the set (used for per-replica metric names).
-    pub index: usize,
     /// This replica's job queue, served by its own executor threads.
     pub batcher: Batcher,
     /// This replica's response cache (keys consistent-hashed here).
@@ -59,13 +58,18 @@ pub struct ReplicaSet {
 
 impl ReplicaSet {
     /// Builds `n` replicas (at least 1), each with its own
-    /// `cache_capacity`-entry cache and a breaker tuned by `breaker_cfg`.
-    pub fn new(n: usize, cache_capacity: usize, breaker_cfg: BreakerConfig) -> ReplicaSet {
+    /// `cache_capacity`-entry cache, a queue of at most `queue_capacity`
+    /// jobs and a breaker tuned by `breaker_cfg`.
+    pub fn new(
+        n: usize,
+        cache_capacity: usize,
+        queue_capacity: usize,
+        breaker_cfg: BreakerConfig,
+    ) -> ReplicaSet {
         let n = n.max(1);
         let replicas = (0..n)
             .map(|index| Replica {
-                index,
-                batcher: Batcher::new(),
+                batcher: Batcher::new(queue_capacity),
                 cache: Mutex::new(LruCache::new(cache_capacity)),
                 breaker: CircuitBreaker::new(breaker_cfg),
                 requests: wb_obs::metrics::registry()
@@ -89,11 +93,6 @@ impl ReplicaSet {
         self.replicas.len()
     }
 
-    /// Always false — the set never constructs empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// All replicas, in index order.
     pub fn all(&self) -> &[Replica] {
         &self.replicas
@@ -101,9 +100,14 @@ impl ReplicaSet {
 
     /// The replica owning `key` (a page-content hash) on the ring.
     pub fn route(&self, key: u64) -> &Replica {
+        &self.replicas[self.shard(key)]
+    }
+
+    /// Index of the replica owning `key`: the first ring point at or
+    /// after it, wrapping past the last.
+    fn shard(&self, key: u64) -> usize {
         let i = self.ring.partition_point(|&(point, _)| point < key);
-        let (_, index) = self.ring[if i == self.ring.len() { 0 } else { i }];
-        &self.replicas[index]
+        self.ring[if i == self.ring.len() { 0 } else { i }].1
     }
 
     /// Closes every batcher (pending jobs still run; executors exit once
@@ -139,7 +143,7 @@ mod tests {
     use super::*;
 
     fn set(n: usize) -> ReplicaSet {
-        ReplicaSet::new(n, 8, BreakerConfig { threshold: 0, ..BreakerConfig::default() })
+        ReplicaSet::new(n, 8, 8, BreakerConfig { threshold: 0, ..BreakerConfig::default() })
     }
 
     #[test]
@@ -147,7 +151,7 @@ mod tests {
         let a = set(4);
         let b = set(4);
         for key in (0..10_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) {
-            assert_eq!(a.route(key).index, b.route(key).index, "key {key}");
+            assert_eq!(a.shard(key), b.shard(key), "key {key}");
         }
     }
 
@@ -156,7 +160,7 @@ mod tests {
         let s = set(4);
         let mut counts = [0usize; 4];
         for key in (0..40_000u64).map(|i| fnv1a(&i.to_le_bytes())) {
-            counts[s.route(key).index] += 1;
+            counts[s.shard(key)] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
             assert!(
@@ -174,8 +178,8 @@ mod tests {
         let moved = keys
             .iter()
             .filter(|&&k| {
-                let b = before.route(k).index;
-                let a = after.route(k).index;
+                let b = before.shard(k);
+                let a = after.shard(k);
                 b != a
             })
             .count();
@@ -192,7 +196,7 @@ mod tests {
     fn single_replica_owns_everything() {
         let s = set(1);
         for key in [0u64, 1, u64::MAX, 0xdead_beef] {
-            assert_eq!(s.route(key).index, 0);
+            assert_eq!(s.shard(key), 0);
         }
     }
 
@@ -201,6 +205,7 @@ mod tests {
         let s = ReplicaSet::new(
             2,
             0,
+            8,
             BreakerConfig {
                 threshold: 1,
                 window: std::time::Duration::from_secs(30),

@@ -1,35 +1,36 @@
-//! The briefing server: a poll-based event loop ([`crate::event`]) feeds
-//! parsed requests through a bounded work queue into a fixed worker pool,
-//! with briefing fan-out sharded across model replicas
-//! ([`crate::replica`]) — each with its own batch executors, LRU response
-//! cache and circuit breaker, consistent-hashed by page content.
+//! The briefing server: a poll-based event loop (`event`) parses every
+//! request, answers cache hits and control routes inline, and submits
+//! each `/brief` miss straight to its replica's bounded queue
+//! (`replica`); the replica's executors (`batch`) brief the page, fill
+//! that replica's LRU cache and hand the result back to the loop, which
+//! writes the response. Replicas are consistent-hashed by page content,
+//! each with its own queue, executors, cache and circuit breaker.
 //!
 //! Load-shedding contract: an accepted connection is always answered —
-//! queued-and-served, or `503 + Retry-After` when the work queue is full —
-//! and no request can hang: socket reads, socket writes and the wait for
-//! a batch executor are all bounded by the request timeout. A model panic
-//! fails the affected requests with 500, trips only that replica's
+//! queued-and-served, or `503 + Retry-After` when the replica queue is
+//! full — and no request can hang: socket reads, socket writes and the
+//! wait for an executor are all bounded by the request timeout. A model
+//! panic fails the affected requests with 500, trips only that replica's
 //! breaker, and the server keeps serving.
 //!
 //! Connections are HTTP/1.1 keep-alive by default (bounded by
 //! `max_requests_per_conn` and `idle_timeout_ms`); framing errors always
-//! close. Concurrency is bounded by `max_conns`, not by worker count —
+//! close. Concurrency is bounded by `max_conns`, not by thread count —
 //! idle keep-alive connections cost a slab slot, not a thread.
 
-use crate::batch::{BriefOutcome, Job};
-use crate::breaker::{Admission, BreakerConfig};
-use crate::cache::{fnv1a, Fingerprint};
-use crate::event::{self, Completions, Done, WorkItem};
+use crate::batch;
+use crate::breaker::BreakerConfig;
+use crate::event::{self, Completions, Done};
 use crate::http;
 use crate::replica::ReplicaSet;
-use crate::telemetry::{self, StageTimings};
+use crate::telemetry;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wb_core::Briefer;
 
 /// Server tuning knobs, exposed one-to-one as `wb serve` flags.
@@ -37,16 +38,17 @@ use wb_core::Briefer;
 pub struct ServeConfig {
     /// Bind address, `HOST:PORT` (port 0 picks a free port — used by tests).
     pub addr: String,
-    /// Request worker threads (the model fan-out has its own rayon pool).
+    /// Executors per replica, capped by the rayon pool's thread count.
     pub workers: usize,
-    /// Parsed requests allowed to wait for a worker before new arrivals
-    /// are shed with 503.
+    /// Jobs each replica's queue holds waiting for an executor; a miss
+    /// arriving at a full queue is shed with 503.
     pub queue_capacity: usize,
     /// LRU response-cache entries *per replica*; 0 disables caching.
     pub cache_capacity: usize,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// Bound on socket reads/writes and on waiting for the batch executor.
+    /// Bound on socket reads/writes and on waiting for an executor to
+    /// brief a page.
     pub request_timeout_ms: u64,
     /// Artificial per-batch stall before the model runs — a load-testing
     /// knob that makes overload reproducible; 0 (the default) in
@@ -66,8 +68,8 @@ pub struct ServeConfig {
     /// `/brief` requests slower than this always log their full stage
     /// breakdown at WARN; 0 disables slow-request logging.
     pub slow_request_ms: u64,
-    /// Model replicas: independent serving lanes (batcher + cache +
-    /// breaker each) over the shared model weights.
+    /// Model replicas: independent serving lanes (queue + executors +
+    /// cache + breaker each) over the shared model weights.
     pub replicas: usize,
     /// Requests served on one connection before the server closes it
     /// (bounds how long one client can monopolize a slot); 0 = unlimited.
@@ -107,10 +109,10 @@ pub(crate) struct Shared {
     pub(crate) briefer: Briefer,
     pub(crate) cfg: ServeConfig,
     pub(crate) replicas: ReplicaSet,
+    /// Executor threads across all replicas.
+    pub(crate) executors: usize,
     pub(crate) completions: Completions,
     pub(crate) stopping: AtomicBool,
-    pub(crate) queue_depth: AtomicUsize,
-    pub(crate) access_log_seq: AtomicU64,
     pub(crate) shutdown_tx: Mutex<mpsc::Sender<()>>,
 }
 
@@ -120,38 +122,37 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     io: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     executors: Vec<JoinHandle<()>>,
     shutdown_rx: Receiver<()>,
 }
 
 /// Starts the briefing server; returns once the listener is bound and the
-/// event loop and worker pool are running.
+/// event loop and executors are running.
 pub fn start(briefer: Briefer, cfg: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     // The event loop drives everything off poll readiness.
     listener.set_nonblocking(true)?;
-    let workers = cfg.workers.max(1);
-    let queue_capacity = cfg.queue_capacity.max(1);
     let replica_count = cfg.replicas.max(1);
+    // Each executor holds one page in the model; the rayon pool bounds
+    // how many can run at once.
+    let executors_per_replica = rayon::current_num_threads().min(cfg.workers.max(1));
     let (shutdown_tx, shutdown_rx) = mpsc::channel();
     let replicas = ReplicaSet::new(
         replica_count,
         cfg.cache_capacity,
+        cfg.queue_capacity,
         BreakerConfig {
             threshold: cfg.breaker_threshold,
             window: Duration::from_millis(cfg.breaker_window_ms),
             cooldown: Duration::from_millis(cfg.breaker_cooldown_ms),
         },
     );
-    let completions = Completions::new()?;
     let shared = Arc::new(Shared {
         replicas,
-        completions,
+        executors: executors_per_replica * replica_count,
+        completions: Completions::new()?,
         stopping: AtomicBool::new(false),
-        queue_depth: AtomicUsize::new(0),
-        access_log_seq: AtomicU64::new(0),
         shutdown_tx: Mutex::new(shutdown_tx),
         briefer,
         cfg,
@@ -163,59 +164,36 @@ pub fn start(briefer: Briefer, cfg: ServeConfig) -> io::Result<ServerHandle> {
     // for `/varz`, `wb top` and Prometheus scrapes.
     wb_obs::procstat::spawn_sampler(Duration::from_secs(1));
     wb_obs::info!(
-        "wb serve listening on {addr} ({workers} workers, {replica_count} replicas, \
-         queue {queue_capacity}, cache {})",
+        "wb serve listening on {addr} ({} executors, {replica_count} replicas, \
+         queue {} per replica, cache {})",
+        shared.executors,
+        shared.cfg.queue_capacity.max(1),
         shared.cfg.cache_capacity
     );
-    wb_obs::gauge!("serve.workers", workers as f64);
-
-    let (work_tx, work_rx) = mpsc::sync_channel::<WorkItem>(queue_capacity);
-    let work_rx = Arc::new(Mutex::new(work_rx));
+    wb_obs::gauge!("serve.executors", shared.executors as f64);
 
     let io = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("wb-serve-io".to_string())
-            .spawn(move || event::run(shared, listener, work_tx))?
+            .spawn(move || event::run(shared, listener))?
     };
-    let mut worker_handles = Vec::with_capacity(workers);
-    for i in 0..workers {
-        let shared = Arc::clone(&shared);
-        let rx = Arc::clone(&work_rx);
-        worker_handles.push(
-            std::thread::Builder::new()
-                .name(format!("wb-serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared, &rx))?,
-        );
-    }
-    // No more pages than workers can be in the model at once, so more
-    // executors than that would only sit idle.
-    let executors_per_replica = rayon::current_num_threads().min(workers);
-    wb_obs::gauge!("serve.executors", (executors_per_replica * replica_count) as f64);
     let mut executors = Vec::with_capacity(replica_count);
     for r in 0..replica_count {
         let shared = Arc::clone(&shared);
         executors.push(std::thread::Builder::new().name(format!("wb-serve-batch-{r}")).spawn(
             move || {
-                let delay = Duration::from_millis(shared.cfg.handler_delay_ms);
-                let replica = &shared.replicas.all()[r];
-                replica.batcher.run_executors(
+                batch::run_executors(
+                    &shared.replicas.all()[r],
                     executors_per_replica,
                     &shared.briefer,
-                    delay,
-                    &replica.breaker,
+                    Duration::from_millis(shared.cfg.handler_delay_ms),
+                    &shared.completions,
                 );
             },
         )?);
     }
-    Ok(ServerHandle {
-        addr,
-        shared,
-        io: Some(io),
-        workers: worker_handles,
-        executors,
-        shutdown_rx,
-    })
+    Ok(ServerHandle { addr, shared, io: Some(io), executors, shutdown_rx })
 }
 
 impl ServerHandle {
@@ -237,7 +215,7 @@ impl ServerHandle {
     }
 
     /// Gracefully stops the server: stop accepting, serve everything
-    /// already accepted, drain the batch queues, join every thread.
+    /// already accepted, drain the replica queues, join every thread.
     pub fn shutdown(mut self) {
         self.do_shutdown();
     }
@@ -249,18 +227,14 @@ impl ServerHandle {
         wb_obs::info!("wb serve shutting down (draining in-flight requests)");
         // The event loop sees `stopping` (the wake pipe interrupts its
         // poll), closes idle connections, finishes in-flight ones under
-        // their deadlines, and exits — dropping the work sender so the
-        // workers drain what is left and stop.
+        // their deadlines, and exits.
         self.shared.stopping.store(true, Ordering::SeqCst);
         self.shared.completions.wake();
         if let Some(io) = self.io.take() {
             let _ = io.join();
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        // All workers are done, so no further job can arrive: close the
-        // batchers and let the executors drain what is still queued.
+        // The loop is gone, so no further job can arrive: close the
+        // queues and let the executors drain what is still queued.
         self.shared.replicas.close_all();
         for e in self.executors.drain(..) {
             let _ = e.join();
@@ -275,184 +249,63 @@ impl Drop for ServerHandle {
     }
 }
 
-fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<WorkItem>>) {
-    loop {
-        // Holding the lock while blocked in recv is the hand-off point for
-        // the whole pool: whichever worker holds it takes the next
-        // request, the rest queue on the mutex.
-        let item = match rx.lock().unwrap().recv() {
-            Ok(item) => item,
-            Err(_) => return, // event loop gone and queue drained
-        };
-        let depth = shared.queue_depth.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-        wb_obs::gauge!("serve.queue.depth", depth as f64);
-        let done = handle_request(shared, item);
-        shared.completions.push(done);
-    }
-}
-
-fn bump_status(status: u16) {
-    match status / 100 {
-        2 => wb_obs::counter!("serve.responses.2xx"),
-        4 => wb_obs::counter!("serve.responses.4xx"),
-        5 => wb_obs::counter!("serve.responses.5xx"),
-        _ => {}
-    }
-}
-
-/// Renders a complete response and records its status-class counter —
-/// the single choke point for every response the server produces.
-pub(crate) fn render_counted(
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    extra_headers: &[(&str, &str)],
-    keep_alive: bool,
-) -> Vec<u8> {
-    bump_status(status);
-    http::render_response(status, content_type, body, extra_headers, keep_alive)
-}
-
-/// Data-plane completion telemetry shared by the worker path and the
-/// event loop's inline cache-hit path: latency histograms, live windows,
-/// stage recording and the (sampled or slow) access log.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_data_plane(
-    shared: &Shared,
-    id: &str,
-    method: &str,
-    path: &str,
-    status: u16,
-    total_us: u64,
-    cache_state: &str,
-    timings: &StageTimings,
-) {
-    wb_obs::histogram!("serve.request.latency_us", total_us);
-    wb_obs::window_histogram!("serve.request.latency_us", total_us as f64);
-    wb_obs::window_counter!("serve.requests");
-    if status >= 500 {
-        wb_obs::window_counter!("serve.errors");
-    }
-    timings.record();
-    let slow = shared.cfg.slow_request_ms > 0
-        && total_us >= shared.cfg.slow_request_ms.saturating_mul(1000);
-    let sampled = shared.cfg.access_log_sample > 0
-        && shared
-            .access_log_seq
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(shared.cfg.access_log_sample);
-    if slow || sampled {
-        let line = telemetry::access_log_line(
-            id,
-            method,
-            path,
-            status,
-            total_us,
-            cache_state,
-            timings,
-        );
-        if slow {
-            wb_obs::warn!("slow request: {line}");
-        } else {
-            wb_obs::info!("access: {line}");
-        }
-    }
-}
-
-/// A handler's response before rendering: the worker attaches the request
-/// id, `Server-Timing` and keep-alive framing, then renders to bytes.
-struct Reply {
-    status: u16,
-    content_type: &'static str,
-    body: Vec<u8>,
-    extra: Vec<(&'static str, String)>,
+/// A handler's response before the event loop renders it: the loop
+/// attaches the request id, `Server-Timing` and keep-alive framing.
+pub(crate) struct Reply {
+    pub(crate) status: u16,
+    pub(crate) content_type: &'static str,
+    pub(crate) body: Vec<u8>,
+    pub(crate) extra: Vec<(&'static str, String)>,
     /// Cache disposition for the access log (`hit` / `miss` / `-`).
-    cache_state: &'static str,
+    pub(crate) cache_state: &'static str,
+    /// Close the connection after this response (load-shedding answers).
+    pub(crate) close: bool,
 }
 
 impl Reply {
-    fn json(status: u16, body: Vec<u8>, cache_state: &'static str) -> Reply {
-        Reply { status, content_type: "application/json", body, extra: Vec::new(), cache_state }
+    pub(crate) fn json(status: u16, body: Vec<u8>, cache_state: &'static str) -> Reply {
+        Reply {
+            status,
+            content_type: "application/json",
+            body,
+            extra: Vec::new(),
+            cache_state,
+            close: false,
+        }
+    }
+
+    /// A JSON error body (`{"error": detail}`).
+    pub(crate) fn error(status: u16, detail: &str, cache_state: &'static str) -> Reply {
+        Reply::json(status, http::error_body(detail), cache_state)
     }
 
     fn typed(status: u16, content_type: &'static str, body: Vec<u8>) -> Reply {
-        Reply { status, content_type, body, extra: Vec::new(), cache_state: "-" }
+        Reply { content_type, ..Reply::json(status, body, "-") }
     }
 
-    fn header(mut self, name: &'static str, value: impl Into<String>) -> Reply {
+    pub(crate) fn header(mut self, name: &'static str, value: impl Into<String>) -> Reply {
         self.extra.push((name, value.into()));
+        self
+    }
+
+    /// Marks the response as the connection's last.
+    pub(crate) fn closing(mut self) -> Reply {
+        self.close = true;
         self
     }
 }
 
-/// Serves one parsed request on a worker thread and returns the rendered
-/// response for the event loop to flush.
-fn handle_request(shared: &Shared, item: WorkItem) -> Done {
-    let _span = wb_obs::span!("serve.request");
-    let WorkItem {
-        conn,
-        generation,
-        req,
-        queued,
-        started,
-        parse_us,
-        allow_keep_alive,
-        key_fp,
-        cache_probed,
-    } = item;
-    let mut timings = StageTimings {
-        queue_wait_us: telemetry::micros_since(queued),
-        parse_us,
-        ..StageTimings::default()
-    };
-    let id = telemetry::request_id(req.header("x-request-id"));
-    let data_plane = req.method == "POST" && req.path == "/brief";
-    let reply = if data_plane {
-        handle_brief(shared, &req, &mut timings, key_fp, cache_probed)
-    } else {
-        handle_control(shared, &req)
-    };
-    let keep_alive =
-        allow_keep_alive && req.wants_keep_alive() && !shared.stopping.load(Ordering::Relaxed);
-    let server_timing = timings.server_timing();
-    let mut headers: Vec<(&str, &str)> = vec![("X-Request-Id", id.as_str())];
-    if data_plane {
-        headers.push(("Server-Timing", server_timing.as_str()));
-    }
-    for (name, value) in &reply.extra {
-        headers.push((name, value.as_str()));
-    }
-    let bytes =
-        render_counted(reply.status, reply.content_type, &reply.body, &headers, keep_alive);
-    // Total latency excludes the write stage, which only the event loop
-    // knows; the write lands in its own stage histogram at flush time.
-    let total_us = telemetry::micros_since(started);
-    if data_plane {
-        // Only model-serving requests feed the request-latency histogram
-        // and the windowed live metrics; control-plane chatter (health
-        // probes, metric scrapes) has its own histogram so it cannot skew
-        // serving percentiles.
-        finish_data_plane(
-            shared,
-            &id,
-            &req.method,
-            &req.path,
-            reply.status,
-            total_us,
-            reply.cache_state,
-            &timings,
-        );
-    } else {
-        wb_obs::histogram!("serve.control.latency_us", total_us);
-    }
-    Done { conn, generation, bytes, keep_alive, record_write: data_plane }
-}
-
-/// Handles every non-`/brief` route (the control plane). These requests
-/// are recorded under `serve.control.latency_us`, never under the
-/// serving-path histogram.
-fn handle_control(shared: &Shared, req: &http::Request) -> Reply {
-    match (req.method.as_str(), req.path.as_str()) {
+/// Handles every non-`/brief` route (the control plane) on the event
+/// loop. These requests are recorded under `serve.control.latency_us`,
+/// never under the serving-path histogram. `None` means an accepted
+/// `/pprof` capture, whose thread pushes the response to `conn` later.
+pub(crate) fn handle_control(
+    shared: &Arc<Shared>,
+    req: &http::Request,
+    conn: usize,
+    generation: u64,
+) -> Option<Reply> {
+    Some(match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Reply::json(200, b"{\"status\":\"ok\"}".to_vec(), "-"),
         ("GET", "/metrics") => match req.query_param("format") {
             None | Some("json") => {
@@ -468,40 +321,41 @@ fn handle_control(shared: &Shared, req: &http::Request) -> Reply {
                 body.push_str(&prometheus_window_derived(&ws));
                 Reply::typed(200, wb_obs::prometheus::CONTENT_TYPE, body.into_bytes())
             }
-            Some(other) => Reply::json(
+            Some(other) => Reply::error(
                 400,
-                http::error_body(&format!(
-                    "unknown metrics format `{other}` (expected `json` or `prometheus`)"
-                )),
+                &format!("unknown metrics format `{other}` (expected `json` or `prometheus`)"),
                 "-",
             ),
         },
         ("GET", "/varz") => Reply::json(200, varz_body(shared).into_bytes(), "-"),
-        ("GET", "/pprof") => handle_pprof(req),
+        ("GET", "/pprof") => return handle_pprof(shared, req, conn, generation),
         ("POST", "/shutdown") => {
             let _ = shared.shutdown_tx.lock().unwrap().send(());
             Reply::json(200, b"{\"status\":\"shutting down\"}".to_vec(), "-")
         }
         (_, "/brief") | (_, "/shutdown") => {
-            Reply::json(405, http::error_body("method not allowed"), "-")
-                .header("Allow", "POST")
+            Reply::error(405, "method not allowed", "-").header("Allow", "POST")
         }
         (_, "/healthz") | (_, "/metrics") | (_, "/varz") | (_, "/pprof") => {
-            Reply::json(405, http::error_body("method not allowed"), "-").header("Allow", "GET")
+            Reply::error(405, "method not allowed", "-").header("Allow", "GET")
         }
-        (_, path) => Reply::json(404, http::error_body(&format!("no route for {path}")), "-"),
-    }
+        (_, path) => Reply::error(404, &format!("no route for {path}"), "-"),
+    })
 }
 
-/// Serves `GET /pprof?seconds=N&hz=N&mode=wall|cpu&format=collapsed|svg`:
-/// runs a timed span-stack capture on the calling worker thread and
-/// returns the folded result (or a rendered flamegraph). The worker is
-/// hidden from the sampler for the duration — otherwise its own
-/// `serve.request` span, open for the whole capture, would dominate
-/// every profile. One capture runs at a time; concurrent requests get
-/// 409 with a Retry-After hint.
-fn handle_pprof(req: &http::Request) -> Reply {
-    let bad = |msg: String| Reply::json(400, http::error_body(&msg), "-");
+/// Serves `GET /pprof?seconds=N&hz=N&mode=wall|cpu&format=collapsed|svg`.
+/// Bad parameters get 400 and a second concurrent capture 409 with a
+/// Retry-After hint, both at once on the loop. An accepted capture starts
+/// here and gets a short-lived thread of its own, which waits out the
+/// capture, stops it, renders the folded result (or a flamegraph) and
+/// pushes the response back to the loop.
+fn handle_pprof(
+    shared: &Arc<Shared>,
+    req: &http::Request,
+    conn: usize,
+    generation: u64,
+) -> Option<Reply> {
+    let bad = |msg: String| Some(Reply::error(400, &msg, "-"));
     let seconds = match req.query_param("seconds").unwrap_or("2").parse::<f64>() {
         Ok(s) if s > 0.0 && s <= 60.0 => s,
         _ => return bad("seconds must be a number in (0, 60]".to_string()),
@@ -514,42 +368,66 @@ fn handle_pprof(req: &http::Request) -> Reply {
     let Some(mode) = wb_obs::profile::Mode::parse(mode) else {
         return bad(format!("unknown mode `{mode}` (expected `wall` or `cpu`)"));
     };
-    let format = req.query_param("format").unwrap_or("collapsed");
-    if format != "collapsed" && format != "svg" {
-        return bad(format!("unknown format `{format}` (expected `collapsed` or `svg`)"));
-    }
-    let _hidden = wb_obs::profile::hide_current_thread();
-    let opts = wb_obs::profile::Options { hz, mode };
-    match wb_obs::profile::capture(Duration::from_secs_f64(seconds), opts) {
-        Ok(profile) => {
-            let collapsed = profile.to_collapsed();
-            if format == "svg" {
-                let unit = match profile.mode {
-                    wb_obs::profile::Mode::Wall => "samples",
-                    wb_obs::profile::Mode::Cpu => "CPU µs",
-                };
-                let title = format!(
-                    "wb serve {} profile — {:.1}s at {} hz, {} {unit}",
-                    profile.mode.as_str(),
-                    profile.duration.as_secs_f64(),
-                    profile.hz,
-                    profile.total_weight
-                );
-                match wb_obs::flame::render_svg(&collapsed, &title) {
-                    Ok(svg) => Reply::typed(200, wb_obs::flame::CONTENT_TYPE, svg.into_bytes()),
-                    Err(e) => {
-                        Reply::json(500, http::error_body(&format!("flamegraph: {e}")), "-")
-                    }
-                }
-            } else {
-                Reply::typed(200, "text/plain; charset=utf-8", collapsed.into_bytes())
-            }
+    let svg = match req.query_param("format").unwrap_or("collapsed") {
+        "collapsed" => false,
+        "svg" => true,
+        other => {
+            return bad(format!("unknown format `{other}` (expected `collapsed` or `svg`)"))
+        }
+    };
+    let recorder = match wb_obs::profile::start(wb_obs::profile::Options { hz, mode }) {
+        Ok(recorder) => recorder,
+        // The single-capture guard is the only runtime failure mode.
+        Err(e) => {
+            return Some(
+                Reply::error(409, &e, "-")
+                    .header("Retry-After", format!("{}", seconds.ceil() as u64)),
+            )
+        }
+    };
+    // The recorder travels over a channel so that a failed spawn leaves
+    // it here to be stopped, instead of holding the capture guard forever.
+    let (tx, rx) = mpsc::channel::<wb_obs::profile::Recorder>();
+    let thread_shared = Arc::clone(shared);
+    let spawned =
+        std::thread::Builder::new().name("wb-serve-pprof".to_string()).spawn(move || {
+            let Ok(recorder) = rx.recv() else { return };
+            std::thread::sleep(Duration::from_secs_f64(seconds));
+            let reply = render_profile(recorder.stop(), svg);
+            thread_shared.completions.push(Done::Pprof { conn, generation, reply });
+        });
+    match spawned {
+        Ok(_) => {
+            let _ = tx.send(recorder);
+            None
         }
         Err(e) => {
-            // The single-capture guard is the only runtime failure mode.
-            Reply::json(409, http::error_body(&e), "-")
-                .header("Retry-After", format!("{}", seconds.ceil() as u64))
+            recorder.stop();
+            Some(Reply::error(500, &format!("cannot start the capture thread: {e}"), "-"))
         }
+    }
+}
+
+/// Renders a finished capture as collapsed stacks or a flamegraph SVG.
+fn render_profile(profile: wb_obs::profile::Profile, svg: bool) -> Reply {
+    let collapsed = profile.to_collapsed();
+    if !svg {
+        return Reply::typed(200, "text/plain; charset=utf-8", collapsed.into_bytes());
+    }
+    let unit = match profile.mode {
+        wb_obs::profile::Mode::Wall => "samples",
+        wb_obs::profile::Mode::Cpu => "CPU µs",
+    };
+    let title = format!(
+        "wb serve {} profile — {:.1}s at {} hz, {} {unit}",
+        profile.mode.as_str(),
+        profile.duration.as_secs_f64(),
+        profile.hz,
+        profile.total_weight
+    );
+    match wb_obs::flame::render_svg(&collapsed, &title) {
+        Ok(svg) => Reply::typed(200, wb_obs::flame::CONTENT_TYPE, svg.into_bytes()),
+        Err(e) => Reply::error(500, &format!("flamegraph: {e}"), "-"),
     }
 }
 
@@ -635,11 +513,10 @@ fn varz_body(shared: &Shared) -> String {
         );
         o.insert("cache".to_string(), Json::Obj(cache));
         o.insert("latency_us".to_string(), hist_view("serve.request.latency_us"));
-        let stages =
-            ["queue_wait", "parse", "cache", "batch_wait", "model", "serialize", "write"]
-                .iter()
-                .map(|stage| (stage.to_string(), hist_view(&format!("serve.stage.{stage}_us"))))
-                .collect();
+        let stages = telemetry::STAGES
+            .iter()
+            .map(|stage| (stage.to_string(), hist_view(&format!("serve.stage.{stage}_us"))))
+            .collect();
         o.insert("stages_us".to_string(), Json::Obj(stages));
         Json::Obj(o)
     };
@@ -647,14 +524,9 @@ fn varz_body(shared: &Shared) -> String {
     windows.insert("10s".to_string(), window_view(10));
     windows.insert("60s".to_string(), window_view(60));
     let mut queue = BTreeMap::new();
-    queue.insert(
-        "depth".to_string(),
-        Json::Num(shared.queue_depth.load(Ordering::Relaxed) as f64),
-    );
-    queue.insert(
-        "peak".to_string(),
-        Json::Num(wb_obs::metrics::registry().gauge("serve.queue.depth.peak").get()),
-    );
+    let g = |name: &str| wb_obs::metrics::registry().gauge(name).get();
+    queue.insert("depth".to_string(), Json::Num(g("serve.queue.depth")));
+    queue.insert("peak".to_string(), Json::Num(g("serve.queue.depth.peak")));
     let mut cache = BTreeMap::new();
     cache.insert("size".to_string(), Json::Num(shared.replicas.cache_len() as f64));
     cache.insert(
@@ -662,7 +534,6 @@ fn varz_body(shared: &Shared) -> String {
         Json::Num((shared.cfg.cache_capacity * shared.replicas.len()) as f64),
     );
     let c = |name: &str| wb_obs::metrics::registry().counter(name).get() as f64;
-    let g = |name: &str| wb_obs::metrics::registry().gauge(name).get();
     let mut conns = BTreeMap::new();
     conns.insert("active".to_string(), Json::Num(g("serve.conn.active")));
     conns.insert("accepted".to_string(), Json::Num(c("serve.conn.accepted")));
@@ -694,131 +565,8 @@ fn varz_body(shared: &Shared) -> String {
         Json::Str(shared.replicas.breaker_summary().to_string()),
     );
     root.insert("replicas".to_string(), Json::Num(shared.replicas.len() as f64));
-    root.insert("workers".to_string(), Json::Num(shared.cfg.workers.max(1) as f64));
+    root.insert("executors".to_string(), Json::Num(shared.executors as f64));
     Json::Obj(root).render()
-}
-
-/// Serves one `POST /brief` on a worker, filling `t` with the stage
-/// breakdown as the request moves through its replica's pipeline. The
-/// event loop may have already routed and cache-probed (`key_fp`,
-/// `cache_probed`); this avoids hashing and probing twice.
-fn handle_brief(
-    shared: &Shared,
-    req: &http::Request,
-    t: &mut StageTimings,
-    key_fp: Option<(u64, Fingerprint)>,
-    cache_probed: bool,
-) -> Reply {
-    let body = req.body.as_slice();
-    if body.is_empty() {
-        return Reply::json(400, http::error_body("POST /brief expects an HTML body"), "-");
-    }
-    let cache_t0 = Instant::now();
-    // The fingerprint guards against FNV-1a collisions: a colliding page is
-    // treated as a miss instead of being served another page's brief.
-    let (key, fp) = key_fp.unwrap_or_else(|| (fnv1a(body), Fingerprint::of(body)));
-    let replica = shared.replicas.route(key);
-    // Cache first: cached pages keep being served even while a circuit
-    // breaker has the model path disabled.
-    if shared.cfg.cache_capacity > 0 {
-        if cache_probed {
-            // The event loop probed (and missed) without counting.
-            wb_obs::counter!("serve.cache.miss");
-            wb_obs::window_counter!("serve.cache.miss");
-        } else {
-            let cached = replica.cache.lock().unwrap().get(key, fp).cloned();
-            if let Some(json) = cached {
-                wb_obs::counter!("serve.cache.hit");
-                wb_obs::window_counter!("serve.cache.hit");
-                t.cache_us = telemetry::micros_since(cache_t0);
-                return Reply::json(200, json.as_bytes().to_vec(), "hit")
-                    .header("X-Cache", "hit");
-            }
-            wb_obs::counter!("serve.cache.miss");
-            wb_obs::window_counter!("serve.cache.miss");
-        }
-    }
-    t.cache_us = telemetry::micros_since(cache_t0);
-    // Per-request deadline: `X-Deadline-Ms` can only tighten the server's
-    // request timeout, never extend it.
-    let deadline_ms = match req.header("x-deadline-ms") {
-        None => shared.cfg.request_timeout_ms,
-        Some(v) => match v.parse::<u64>() {
-            Ok(ms) if ms > 0 => ms.min(shared.cfg.request_timeout_ms),
-            _ => {
-                return Reply::json(
-                    400,
-                    http::error_body(&format!(
-                        "bad X-Deadline-Ms `{v}` (expected a positive number of milliseconds)"
-                    )),
-                    "miss",
-                );
-            }
-        },
-    };
-    match replica.breaker.admit() {
-        Admission::Allow | Admission::Probe => {}
-        Admission::Reject { retry_after_secs } => {
-            return Reply::json(
-                503,
-                http::error_body(
-                    "briefing disabled after repeated model failures; \
-                     cached pages are still served",
-                ),
-                "miss",
-            )
-            .header("Retry-After", retry_after_secs.to_string());
-        }
-    }
-    let html = String::from_utf8_lossy(body).into_owned();
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms.max(1));
-    let (tx, rx) = mpsc::channel();
-    if !replica.batcher.submit(Job { html, deadline, submitted: Instant::now(), tx }) {
-        return Reply::json(503, http::error_body("server is shutting down"), "miss")
-            .header("Retry-After", "1");
-    }
-    let timeout = Duration::from_millis(shared.cfg.request_timeout_ms.max(1));
-    let completion = match rx.recv_timeout(timeout) {
-        Ok(c) => c,
-        Err(RecvTimeoutError::Timeout) => {
-            wb_obs::counter!("serve.rejected.timeout");
-            return Reply::json(
-                503,
-                http::error_body("briefing did not finish within the request timeout"),
-                "miss",
-            )
-            .header("Retry-After", "1");
-        }
-        Err(RecvTimeoutError::Disconnected) => {
-            return Reply::json(500, http::error_body("batch executor is gone"), "miss");
-        }
-    };
-    t.batch_wait_us = completion.batch_wait_us;
-    t.model_us = completion.model_us;
-    t.serialize_us = completion.serialize_us;
-    match completion.outcome {
-        BriefOutcome::Ok(json) => {
-            if shared.cfg.cache_capacity > 0 {
-                let fill_t0 = Instant::now();
-                let mut cache = replica.cache.lock().unwrap();
-                cache.insert(key, fp, Arc::clone(&json));
-                drop(cache);
-                wb_obs::gauge!("serve.cache.size", shared.replicas.cache_len() as f64);
-                t.cache_us += telemetry::micros_since(fill_t0);
-            }
-            Reply::json(200, json.as_bytes().to_vec(), "miss").header("X-Cache", "miss")
-        }
-        BriefOutcome::Unbriefable(detail) => {
-            wb_obs::counter!("serve.unbriefable");
-            Reply::json(422, http::error_body(&detail), "miss")
-        }
-        BriefOutcome::Internal(detail) => Reply::json(500, http::error_body(&detail), "miss"),
-        BriefOutcome::Expired => Reply::json(
-            504,
-            http::error_body("request deadline expired before briefing started"),
-            "miss",
-        ),
-    }
 }
 
 #[cfg(test)]
@@ -1347,6 +1095,24 @@ mod tests {
         );
         let (status, body) = roundtrip(addr, raw.as_bytes());
         assert_eq!(status, 400, "{body}");
+        assert!(body.contains("X-Deadline-Ms"), "{body}");
+        h.shutdown();
+    }
+
+    #[test]
+    fn malformed_deadline_is_400_even_for_a_cached_page() {
+        let _chaos = wb_chaos::test_lock();
+        let h = start(tiny_briefer(), test_config()).unwrap();
+        let addr = h.addr();
+        let (status, _) = post_brief(addr, PAGE);
+        assert_eq!(status, 200);
+        let raw = format!(
+            "POST /brief HTTP/1.1\r\nHost: t\r\nX-Deadline-Ms: soon\r\n\
+             Content-Length: {}\r\n\r\n{PAGE}",
+            PAGE.len()
+        );
+        let (status, body) = roundtrip(addr, raw.as_bytes());
+        assert_eq!(status, 400, "the header is validated before the cache: {body}");
         assert!(body.contains("X-Deadline-Ms"), "{body}");
         h.shutdown();
     }

@@ -2,12 +2,12 @@
 //! and structured access logging.
 //!
 //! A coarse end-to-end latency histogram cannot say *where* a slow p99
-//! came from — queue wait, batch wait, the model, or a slow client
-//! socket. Every request therefore carries a [`StageTimings`] through
-//! the pipeline:
+//! came from — the replica queue, the model, or a slow client socket.
+//! Every request therefore carries a [`StageTimings`] through the
+//! pipeline:
 //!
 //! ```text
-//! accept ──queue_wait──► parse ──cache──► batch_wait ──► model ──► serialize ──► write
+//! accept ──parse──► cache ──► queue_wait ──► model ──► serialize ──► write
 //! ```
 //!
 //! and at completion the breakdown is (1) recorded into the
@@ -25,50 +25,47 @@ use std::sync::OnceLock;
 use std::time::Instant;
 use wb_obs::json::Json;
 
-/// Stage names in pipeline order, paired with accessors — the single
-/// source of truth for the `serve.stage.*_us` metric family, the
-/// `Server-Timing` header and the access-log `stages` object.
-const STAGES: [&str; 7] =
-    ["queue_wait", "parse", "cache", "batch_wait", "model", "serialize", "write"];
+/// Stage names, in the order the `Server-Timing` header lists them — the
+/// single source of truth for the `serve.stage.*_us` metric family, the
+/// header, the access-log `stages` object, `/varz` and `wb top`.
+pub const STAGES: [&str; 6] = ["queue_wait", "parse", "cache", "model", "serialize", "write"];
 
 /// Per-request wall-clock attribution, in microseconds per stage. A
 /// stage the request never entered (e.g. `model` on a cache hit) stays
 /// zero and is omitted from metrics and headers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Accepted socket waiting in the bounded queue for a worker.
+    /// Submitted job waiting in its replica's queue for an executor to
+    /// take it.
     pub queue_wait_us: u64,
     /// Reading and parsing the HTTP request off the socket.
     pub parse_us: u64,
-    /// Hashing the body and probing (plus, on miss, later filling) the
-    /// response cache.
+    /// Hashing the body and probing the response cache.
     pub cache_us: u64,
-    /// Submitted job waiting for an executor to take it.
-    pub batch_wait_us: u64,
     /// The model briefing this request's page (includes any configured
     /// `--handler-delay-ms` stall, which simulates model cost).
     pub model_us: u64,
-    /// Serialising the page's brief to response JSON.
+    /// Serialising the page's brief to response JSON and storing it in
+    /// the cache.
     pub serialize_us: u64,
     /// Writing the response to the client socket.
     pub write_us: u64,
 }
 
 impl StageTimings {
-    fn stages(&self) -> [(&'static str, u64); 7] {
+    fn stages(&self) -> [(&'static str, u64); 6] {
         [
             (STAGES[0], self.queue_wait_us),
             (STAGES[1], self.parse_us),
             (STAGES[2], self.cache_us),
-            (STAGES[3], self.batch_wait_us),
-            (STAGES[4], self.model_us),
-            (STAGES[5], self.serialize_us),
-            (STAGES[6], self.write_us),
+            (STAGES[3], self.model_us),
+            (STAGES[4], self.serialize_us),
+            (STAGES[5], self.write_us),
         ]
     }
 
     /// Renders the breakdown as a `Server-Timing` header value
-    /// (`stage;dur=<milliseconds>`, pipeline order, zero stages and the
+    /// (`stage;dur=<milliseconds>`, [`STAGES`] order, zero stages and the
     /// not-yet-known `write` stage omitted — the header is sent *in* the
     /// write).
     pub fn server_timing(&self) -> String {
@@ -103,7 +100,6 @@ impl StageTimings {
         stage!(queue_wait_us, "serve.stage.queue_wait_us");
         stage!(parse_us, "serve.stage.parse_us");
         stage!(cache_us, "serve.stage.cache_us");
-        stage!(batch_wait_us, "serve.stage.batch_wait_us");
         stage!(model_us, "serve.stage.model_us");
         stage!(serialize_us, "serve.stage.serialize_us");
         stage!(write_us, "serve.stage.write_us");

@@ -105,7 +105,12 @@ SUBCOMMANDS:
                 HTTP/1.1 keep-alive and pipelining (--max-conns,
                 --max-requests-per-conn, --idle-timeout-ms); briefing
                 shards over --replicas lanes, each with its own cache,
-                micro-batcher and breaker, consistent-hashed by page
+                queue, executors and breaker, consistent-hashed by page
+                content. The event loop answers cache hits and control
+                routes itself and submits each miss to its lane's queue:
+                --workers N runs min(N, rayon threads) executors per
+                lane, and --queue-capacity N bounds each lane's queue
+                (a miss arriving at a full queue gets 503 + Retry-After)
     loadgen     Drive POST /brief load at a running server: closed loop
                 (--concurrency connections back-to-back) or open loop
                 (--rate req/s, latency from scheduled arrival), report
@@ -916,8 +921,8 @@ fn render_top_frame(addr: &str, v: &serde_json::Value) -> String {
     let breaker = v.get("breaker").and_then(|b| b.as_str()).unwrap_or("?");
     let mut out = String::new();
     out.push_str(&format!(
-        "wb top — {addr} · uptime {uptime_s:.0}s · workers {:.0} · breaker {breaker}\n\n",
-        num(&["workers"])
+        "wb top — {addr} · uptime {uptime_s:.0}s · executors {:.0} · breaker {breaker}\n\n",
+        num(&["executors"])
     ));
     out.push_str(&format!(
         "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
@@ -939,7 +944,7 @@ fn render_top_frame(addr: &str, v: &serde_json::Value) -> String {
         "\n{:<22} {:>9} {:>9} {:>9}\n",
         "stages (10s)", "count", "mean", "p99"
     ));
-    for stage in ["queue_wait", "parse", "cache", "batch_wait", "model", "serialize", "write"] {
+    for stage in wb_serve::telemetry::STAGES {
         let base = ["windows", "10s", "stages_us", stage];
         let count = num(&[&base[..], &["count"]].concat());
         out.push_str(&format!(

@@ -108,9 +108,8 @@ fn distinct_page(thread: usize, iter: usize) -> String {
 
 #[test]
 fn profile_attributes_model_time_and_flame_renders_it() {
-    // Two workers: the profiling request occupies one for the whole
-    // capture (its own thread is hidden from the sampler), leaving one to
-    // serve briefs.
+    // The event loop starts each capture and a short-lived thread of its
+    // own waits it out, so the loop keeps serving briefs meanwhile.
     let server =
         spawn_server(&["--workers", "2", "--handler-delay-ms", "50", "--cache-capacity", "0"]);
     let stop = Arc::new(AtomicBool::new(false));
@@ -137,7 +136,7 @@ fn profile_attributes_model_time_and_flame_renders_it() {
         let _ = std::fs::remove_file(p);
     }
     // Wall-clock capture: every live thread is sampled each tick, so the
-    // worker blocked on the batch (`serve.request`) must be visible.
+    // event loop, inside `serve.io` for the whole capture, must be visible.
     let wall_out = wb()
         .args([
             "profile",
@@ -149,11 +148,12 @@ fn profile_attributes_model_time_and_flame_renders_it() {
         ])
         .output()
         .expect("run wb profile (wall)");
-    // On-CPU capture: the handler-delay stall and the blocked worker burn
+    // On-CPU capture: the handler-delay stall and the idle event loop burn
     // no CPU, so compute time lands squarely on the model stage. (In wall
-    // mode a single serving worker ties 1:1 against the batch executor
-    // for the whole batch, which makes a majority assertion a coin flip;
-    // on-CPU charges go to the span that burned them.)
+    // mode the event loop, always inside `serve.io`, ties 1:1 against the
+    // batch executor for the whole batch, which makes a majority
+    // assertion a coin flip; on-CPU charges go to the span that burned
+    // them.)
     let cpu_out = wb()
         .args([
             "profile",
@@ -201,13 +201,10 @@ fn profile_attributes_model_time_and_flame_renders_it() {
         "model/brief spans hold only {model} of {total} cpu µs:\n{cpu_collapsed}"
     );
 
-    // The wall capture sees the serving worker inside `serve.request`
-    // (the /pprof worker itself is hidden from the sampler).
+    // The wall capture sees the event loop inside `serve.io` (the capture
+    // thread opens no span, so it never shows).
     let wall_collapsed = std::fs::read_to_string(&wall_path).expect("wall collapsed output");
-    assert!(
-        wall_collapsed.contains("serve.request"),
-        "worker spans missing:\n{wall_collapsed}"
-    );
+    assert!(wall_collapsed.contains("serve.io"), "event-loop span missing:\n{wall_collapsed}");
     assert!(wall_collapsed.contains("serve.batch"), "executor span missing:\n{wall_collapsed}");
 
     // The wall capture renders into a standalone, well-formed SVG.

@@ -112,6 +112,11 @@ fn spawn_server_full(
 /// keeps connections alive, so EOF only comes after the idle timeout.
 fn exchange(addr: SocketAddr, raw: &[u8]) -> (u16, String, String) {
     let mut s = TcpStream::connect(addr).expect("connect");
+    exchange_on(&mut s, raw)
+}
+
+/// Like [`exchange`] on an already open connection, which stays open.
+fn exchange_on(s: &mut TcpStream, raw: &[u8]) -> (u16, String, String) {
     s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
     let _ = s.write_all(raw);
     let _ = s.flush();
@@ -549,6 +554,52 @@ fn sigterm_drains_and_flushes_like_post_shutdown() {
     let _ = std::fs::remove_file(&metrics_out);
 }
 
+/// A brief that outlives `--request-timeout-ms` is answered 503 with
+/// Retry-After and its connection closed. The executor's late result then
+/// has no request to answer: a fresh connection, which may reuse the
+/// closed one's slot, gets only its own responses.
+#[test]
+fn request_timeout_is_503_and_the_late_brief_lands_nowhere() {
+    let server = spawn_server(&[
+        "--request-timeout-ms",
+        "200",
+        "--handler-delay-ms",
+        "600",
+        "--cache-capacity",
+        "0",
+    ]);
+    let addr = server.addr;
+    let (status, headers, body) = post_brief(addr, PAGE);
+    assert_eq!(status, 503, "{body}");
+    assert!(headers.contains("Retry-After: 1"), "{headers}");
+    assert!(headers.contains("Connection: close"), "{headers}");
+    assert!(body.contains("did not finish within the request timeout"), "{body}");
+
+    let healthz = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    let mut fresh = TcpStream::connect(addr).expect("connect");
+    let (status, _, body) = exchange_on(&mut fresh, healthz);
+    assert_eq!((status, body.as_str()), (200, "{\"status\":\"ok\"}"));
+    // Wait until the executor has answered the timed-out job (its
+    // deadline, the request timeout, passed during the stall), then ask
+    // again on the same connection: the answer is still its own.
+    let metrics = || -> serde_json::Value {
+        serde_json::from_str(&get(addr, "/metrics").2).expect("metrics JSON")
+    };
+    let t0 = std::time::Instant::now();
+    while counter(&metrics(), "serve.deadline.expired") < 1.0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "the executor never took the job");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    let (status, _, body) = exchange_on(&mut fresh, healthz);
+    assert_eq!((status, body.as_str()), (200, "{\"status\":\"ok\"}"));
+
+    let v = metrics();
+    assert_eq!(counter(&v, "serve.rejected.timeout"), 1.0);
+    assert_eq!(counter(&v, "serve.responses.5xx"), 1.0);
+    shutdown(server);
+}
+
 /// A slow-loris client trickling bytes forever is cut off with 408 once
 /// the total header-read deadline passes — each byte arrives fast enough
 /// that a per-read timeout alone would never fire.
@@ -856,7 +907,10 @@ fn loadgen_end_to_end_compares_modes_and_writes_report() {
 /// A keep-alive run is measurably faster than connect-per-request at the
 /// same concurrency: the acceptance bar for the event-loop serving path.
 /// (The committed BENCH_serve.json records the same comparison at larger
-/// scale; this guards the direction, not the magnitude.)
+/// scale; this guards the direction, not the magnitude.) Each mode sends
+/// 10,000 cache hits, a few hundred milliseconds of load on a 2-vCPU
+/// host, so a scheduling hiccup cannot decide the comparison the way it
+/// could over a few milliseconds.
 #[test]
 fn loadgen_keepalive_beats_connection_close() {
     let server = spawn_server(&[]);
@@ -865,7 +919,7 @@ fn loadgen_keepalive_beats_connection_close() {
             "loadgen",
             &server.addr.to_string(),
             "--requests",
-            "200",
+            "10000",
             "--concurrency",
             "4",
             "--pages",
