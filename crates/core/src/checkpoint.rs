@@ -1,20 +1,23 @@
 //! Model checkpointing: save a trained model (architecture metadata +
-//! parameter store) to JSON and restore it exactly. Architectures are
-//! reconstructed from their configuration, then the parameter values are
-//! copied in — parameter names and shapes are checked, so parameters
-//! saved from another architecture are a [`RestoreError`] naming the
-//! first parameter that differs, never a panic or silently misassigned
-//! weights. The configuration itself is not checked: the model it
-//! describes is built before any comparison, so a configuration edited
-//! to sizes too large to allocate fails in that allocation.
-//! Tensor values are stored as base64 of their little-endian `f32` bytes
-//! (see [`wb_tensor::Tensor`]), which keeps loading cheap and bit-exact.
+//! parameter store) to JSON and restore it exactly. A restore runs the
+//! model's constructor against a restoring store ([`Params::restoring`]):
+//! each parameter takes its saved tensor once its name and shape are
+//! checked, so nothing is initialised at random and nothing of the sizes
+//! the configuration asks for is allocated. Parameters
+//! saved from another architecture, or a configuration edited to sizes
+//! too large to allocate, are a [`RestoreError`] naming the first
+//! parameter that differs, never a panic, an aborted allocation or
+//! silently misassigned weights. Tensor values are stored as base64 of
+//! their little-endian `f32` bytes (see [`wb_tensor::Tensor`]), which keeps
+//! loading cheap and bit-exact.
 
 use crate::extractor::{Extractor, ExtractorPriors};
 use crate::generator::Generator;
 use crate::joint::{JointModel, JointVariant};
 use crate::trainer::TrainableModel;
 use crate::ModelConfig;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::io;
 use std::path::Path;
 use wb_nn::EmbedderKind;
@@ -127,8 +130,16 @@ pub enum RestoreError {
     WrongKind,
     /// The checkpoint's parameters do not fit the architecture its
     /// configuration builds; the text names the first parameter that
-    /// differs (see [`Params::try_copy_from`]).
+    /// differs (see [`Params::finish_restore`]).
     ParamMismatch(String),
+    /// A briefer's tokenizer does not have the configuration's vocabulary
+    /// size, so some token ids would miss the embedding tables.
+    VocabMismatch {
+        /// Tokens in the tokenizer.
+        tokens: usize,
+        /// The configuration's vocabulary size.
+        config: usize,
+    },
 }
 
 impl std::fmt::Display for RestoreError {
@@ -138,15 +149,36 @@ impl std::fmt::Display for RestoreError {
             RestoreError::ParamMismatch(detail) => {
                 write!(f, "parameters do not match the architecture: {detail}")
             }
+            RestoreError::VocabMismatch { tokens, config } => {
+                write!(f, "the tokenizer holds {tokens} tokens, the configuration {config}")
+            }
         }
     }
 }
 
 impl std::error::Error for RestoreError {}
 
-/// Copies a checkpoint's parameter values into a freshly built model.
-fn restore_params(model: &mut Params, saved: &Params) -> Result<(), RestoreError> {
-    model.try_copy_from(saved).map_err(RestoreError::ParamMismatch)
+/// Builds a model into a restoring copy of `saved` and finishes the
+/// restore. The copy is the one clone of the saved tensors that borrowing
+/// the checkpoint costs; the RNG is never drawn from.
+fn restore<M: TrainableModel>(
+    saved: &Params,
+    build: impl FnOnce(Params, &mut StdRng) -> M,
+) -> Result<M, RestoreError> {
+    let mut m = build(Params::restoring(saved.clone()), &mut StdRng::seed_from_u64(0));
+    m.params_mut().finish_restore().map_err(RestoreError::ParamMismatch)?;
+    Ok(m)
+}
+
+/// Restores the joint model of a `Joint` or `Briefer` checkpoint.
+fn restore_joint(ckpt: &Checkpoint) -> Result<JointModel, RestoreError> {
+    match ckpt {
+        Checkpoint::Joint { variant, config, params }
+        | Checkpoint::Briefer { variant, config, params, .. } => {
+            restore(params, |p, rng| JointModel::build(*variant, *config, p, rng))
+        }
+        _ => Err(RestoreError::WrongKind),
+    }
 }
 
 impl JointModel {
@@ -159,17 +191,11 @@ impl JointModel {
         }
     }
 
-    /// Restores a joint model from a checkpoint.
+    /// Restores a joint model from a checkpoint. Timed by the
+    /// `core.checkpoint.restore` span.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<JointModel, RestoreError> {
-        match ckpt {
-            Checkpoint::Joint { variant, config, params }
-            | Checkpoint::Briefer { variant, config, params, .. } => {
-                let mut m = JointModel::new(*variant, *config, 0);
-                restore_params(m.params_mut(), params)?;
-                Ok(m)
-            }
-            _ => Err(RestoreError::WrongKind),
-        }
+        let _s = wb_obs::span!("core.checkpoint.restore");
+        restore_joint(ckpt)
     }
 }
 
@@ -186,18 +212,14 @@ impl Extractor {
         }
     }
 
-    /// Restores an extractor from a checkpoint.
+    /// Restores an extractor from a checkpoint. Timed by the
+    /// `core.checkpoint.restore` span.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Extractor, RestoreError> {
+        let _s = wb_obs::span!("core.checkpoint.restore");
         match ckpt {
             Checkpoint::Extractor { kind, section_prior, topic_prior, config, params } => {
-                let mut m = Extractor::new(
-                    *kind,
-                    ExtractorPriors { section: *section_prior, topic: *topic_prior },
-                    *config,
-                    0,
-                );
-                restore_params(m.params_mut(), params)?;
-                Ok(m)
+                let priors = ExtractorPriors { section: *section_prior, topic: *topic_prior };
+                restore(params, |p, rng| Extractor::build(*kind, priors, *config, p, rng))
             }
             _ => Err(RestoreError::WrongKind),
         }
@@ -215,13 +237,15 @@ impl Generator {
         }
     }
 
-    /// Restores a generator from a checkpoint.
+    /// Restores a generator from a checkpoint. Timed by the
+    /// `core.checkpoint.restore` span.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Generator, RestoreError> {
+        let _s = wb_obs::span!("core.checkpoint.restore");
         match ckpt {
             Checkpoint::Generator { kind, section_prior, config, params } => {
-                let mut m = Generator::new(*kind, *section_prior, *config, 0);
-                restore_params(m.params_mut(), params)?;
-                Ok(m)
+                restore(params, |p, rng| {
+                    Generator::build(*kind, *section_prior, *config, p, rng)
+                })
             }
             _ => Err(RestoreError::WrongKind),
         }
@@ -239,11 +263,18 @@ impl crate::briefer::Briefer {
         }
     }
 
-    /// Restores a briefer from a checkpoint.
+    /// Restores a briefer from a checkpoint. Its tokenizer must have the
+    /// configuration's vocabulary size. Timed by the
+    /// `core.checkpoint.restore` span.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<crate::briefer::Briefer, RestoreError> {
+        let _s = wb_obs::span!("core.checkpoint.restore");
         match ckpt {
-            Checkpoint::Briefer { tokenizer, .. } => {
-                let model = JointModel::from_checkpoint(ckpt)?;
+            Checkpoint::Briefer { tokenizer, config, .. } => {
+                let tokens = tokenizer.vocab().len();
+                if tokens != config.vocab {
+                    return Err(RestoreError::VocabMismatch { tokens, config: config.vocab });
+                }
+                let model = restore_joint(ckpt)?;
                 Ok(crate::briefer::Briefer::from_model(model, tokenizer.clone()))
             }
             _ => Err(RestoreError::WrongKind),
@@ -419,10 +450,16 @@ mod tests {
             unreachable!("a joint model snapshots as Checkpoint::Joint")
         };
         let wider = ModelConfig { hidden: config.hidden + 1, ..config };
-        let ckpt = Checkpoint::Joint { variant, config: wider, params };
+        let ckpt = Checkpoint::Joint { variant, config: wider, params: params.clone() };
         let err = JointModel::from_checkpoint(&ckpt).err().expect("hidden 17 must not restore");
         assert!(matches!(err, RestoreError::ParamMismatch(_)), "{err}");
         assert!(err.to_string().contains("shape"), "{err}");
+        // Sizes no allocation could hold are compared, never built.
+        let huge = ModelConfig { hidden: 1 << 60, ..config };
+        let ckpt = Checkpoint::Joint { variant, config: huge, params };
+        let err =
+            JointModel::from_checkpoint(&ckpt).err().expect("hidden 2^60 must not restore");
+        assert!(err.to_string().contains("1152921504606846976]"), "{err}");
 
         // A generator's checkpoint carrying an extractor's parameters.
         let ex = Extractor::new(EmbedderKind::Static, ExtractorPriors::default(), mc, 5);
@@ -498,6 +535,25 @@ mod tests {
         };
         assert_eq!(brief(&new), brief(&old));
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_tokenizer_of_another_vocabulary_size_is_a_restore_error() {
+        let d = tiny();
+        let mc = ModelConfig::scaled(d.tokenizer.vocab().len() + 1);
+        let briefer = crate::briefer::Briefer::from_model(
+            JointModel::new(JointVariant::JointWb, mc, 5),
+            d.tokenizer.clone(),
+        );
+        let ckpt = briefer.checkpoint(&d.tokenizer);
+        let err =
+            crate::briefer::Briefer::from_checkpoint(&ckpt).err().expect("must not restore");
+        let tokens = d.tokenizer.vocab().len();
+        assert!(matches!(err, RestoreError::VocabMismatch { .. }), "{err}");
+        assert_eq!(
+            err.to_string(),
+            format!("the tokenizer holds {tokens} tokens, the configuration {}", tokens + 1)
+        );
     }
 
     #[test]

@@ -40,8 +40,18 @@ impl Extractor {
         cfg: ModelConfig,
         seed: u64,
     ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut params = Params::new();
+        Self::build(kind, priors, cfg, Params::new(), &mut StdRng::seed_from_u64(seed))
+    }
+
+    /// Builds the model into `params`: a fresh store initialises it from
+    /// `rng`, a restoring one takes the saved tensors ([`Params::restoring`]).
+    pub(crate) fn build(
+        kind: EmbedderKind,
+        priors: ExtractorPriors,
+        cfg: ModelConfig,
+        mut params: Params,
+        rng: &mut StdRng,
+    ) -> Self {
         let bert_cfg = BertConfig {
             vocab: cfg.vocab,
             dim: cfg.dim,
@@ -49,17 +59,17 @@ impl Extractor {
             max_len: cfg.max_len,
             dropout: cfg.dropout * 0.5,
         };
-        let embedder = Embedder::new(&mut params, &mut rng, "emb", kind, bert_cfg);
+        let embedder = Embedder::new(&mut params, rng, "emb", kind, bert_cfg);
         let mut in_dim = cfg.dim;
         if priors.section {
             in_dim += 1;
         }
         let topic_emb = priors.topic.then(|| {
             in_dim += cfg.dim;
-            wb_nn::Embedding::new(&mut params, &mut rng, "topic_emb", cfg.vocab, cfg.dim)
+            wb_nn::Embedding::new(&mut params, rng, "topic_emb", cfg.vocab, cfg.dim)
         });
-        let bilstm = BiLstm::new(&mut params, &mut rng, "bilstm", in_dim, cfg.hidden);
-        let head = Dense::new(&mut params, &mut rng, "head", 2 * cfg.hidden, NUM_TAGS);
+        let bilstm = BiLstm::new(&mut params, rng, "bilstm", in_dim, cfg.hidden);
+        let head = Dense::new(&mut params, rng, "head", 2 * cfg.hidden, NUM_TAGS);
         Extractor { params, embedder, bilstm, head, topic_emb, priors, cfg }
     }
 

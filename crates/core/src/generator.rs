@@ -25,8 +25,18 @@ impl Generator {
     /// Builds a generator with the given embedding method; `prior_section`
     /// concatenates the gold informative flag to each sentence.
     pub fn new(kind: EmbedderKind, prior_section: bool, cfg: ModelConfig, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut params = Params::new();
+        Self::build(kind, prior_section, cfg, Params::new(), &mut StdRng::seed_from_u64(seed))
+    }
+
+    /// Builds the model into `params`: a fresh store initialises it from
+    /// `rng`, a restoring one takes the saved tensors ([`Params::restoring`]).
+    pub(crate) fn build(
+        kind: EmbedderKind,
+        prior_section: bool,
+        cfg: ModelConfig,
+        mut params: Params,
+        rng: &mut StdRng,
+    ) -> Self {
         let bert_cfg = BertConfig {
             vocab: cfg.vocab,
             dim: cfg.dim,
@@ -34,12 +44,12 @@ impl Generator {
             max_len: cfg.max_len,
             dropout: cfg.dropout * 0.5,
         };
-        let embedder = Embedder::new(&mut params, &mut rng, "emb", kind, bert_cfg);
+        let embedder = Embedder::new(&mut params, rng, "emb", kind, bert_cfg);
         let in_dim = cfg.dim + usize::from(prior_section);
-        let sent_bilstm = BiLstm::new(&mut params, &mut rng, "sent", in_dim, cfg.hidden);
+        let sent_bilstm = BiLstm::new(&mut params, rng, "sent", in_dim, cfg.hidden);
         let decoder = Decoder::new(
             &mut params,
-            &mut rng,
+            rng,
             "dec",
             cfg.vocab,
             cfg.dim,

@@ -165,8 +165,17 @@ impl JointModel {
     /// Builds a joint model of the given variant (always on the BERTSUM
     /// embedder — Joint-WB "is built on the BERT_base model").
     pub fn new(variant: JointVariant, cfg: ModelConfig, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut params = Params::new();
+        Self::build(variant, cfg, Params::new(), &mut StdRng::seed_from_u64(seed))
+    }
+
+    /// Builds the model into `params`: a fresh store initialises it from
+    /// `rng`, a restoring one takes the saved tensors ([`Params::restoring`]).
+    pub(crate) fn build(
+        variant: JointVariant,
+        cfg: ModelConfig,
+        mut params: Params,
+        rng: &mut StdRng,
+    ) -> Self {
         let bert_cfg = BertConfig {
             vocab: cfg.vocab,
             dim: cfg.dim,
@@ -174,52 +183,36 @@ impl JointModel {
             max_len: cfg.max_len,
             dropout: cfg.dropout * 0.5,
         };
-        let embedder =
-            Embedder::new(&mut params, &mut rng, "emb", EmbedderKind::BertSum, bert_cfg);
+        let embedder = Embedder::new(&mut params, rng, "emb", EmbedderKind::BertSum, bert_cfg);
         let h2 = 2 * cfg.hidden;
-        let e_bilstm = BiLstm::new(&mut params, &mut rng, "e.bilstm", cfg.dim, cfg.hidden);
-        let g_bilstm = BiLstm::new(&mut params, &mut rng, "g.bilstm", cfg.dim, cfg.hidden);
+        let e_bilstm = BiLstm::new(&mut params, rng, "e.bilstm", cfg.dim, cfg.hidden);
+        let g_bilstm = BiLstm::new(&mut params, rng, "g.bilstm", cfg.dim, cfg.hidden);
         let decoder =
-            Decoder::new(&mut params, &mut rng, "dec", cfg.vocab, cfg.dim, h2, cfg.dec_hidden);
+            Decoder::new(&mut params, rng, "dec", cfg.vocab, cfg.dim, h2, cfg.dec_hidden);
 
         let p_w = variant.uses_section_predictor().then(|| {
             (
-                params.add_init(
-                    "p.w1",
-                    &[cfg.dim, cfg.dim],
-                    Initializer::XavierUniform,
-                    &mut rng,
-                ),
-                params.add_init(
-                    "p.w2",
-                    &[cfg.dim, cfg.dim],
-                    Initializer::XavierUniform,
-                    &mut rng,
-                ),
+                params.add_init("p.w1", &[cfg.dim, cfg.dim], Initializer::XavierUniform, rng),
+                params.add_init("p.w2", &[cfg.dim, cfg.dim], Initializer::XavierUniform, rng),
             )
         });
         let sec_e = variant
             .uses_section_predictor()
-            .then(|| Dense::new(&mut params, &mut rng, "sec_e", h2 + 1, h2));
+            .then(|| Dense::new(&mut params, rng, "sec_e", h2 + 1, h2));
         let sec_g = variant
             .uses_section_predictor()
-            .then(|| Dense::new(&mut params, &mut rng, "sec_g", h2 + 1, h2));
+            .then(|| Dense::new(&mut params, rng, "sec_g", h2 + 1, h2));
 
         let (w_q, w_ae) = if variant.gate_style_extractor() {
             (
                 Some(Dense::new(
                     &mut params,
-                    &mut rng,
+                    rng,
                     "w_q",
                     cfg.max_topic_len * cfg.dec_hidden,
                     cfg.dim,
                 )),
-                Some(params.add_init(
-                    "w_ae",
-                    &[h2, cfg.dim],
-                    Initializer::XavierUniform,
-                    &mut rng,
-                )),
+                Some(params.add_init("w_ae", &[h2, cfg.dim], Initializer::XavierUniform, rng)),
             )
         } else {
             (None, None)
@@ -227,9 +220,9 @@ impl JointModel {
 
         let (w_e, w_eg, w_ag) = if variant.attr_aware_generator() {
             (
-                Some(Dense::new(&mut params, &mut rng, "w_e", h2, cfg.dim)),
-                Some(Dense::new(&mut params, &mut rng, "w_eg", cfg.dim, h2)),
-                Some(params.add_init("w_ag", &[h2, 1], Initializer::XavierUniform, &mut rng)),
+                Some(Dense::new(&mut params, rng, "w_e", h2, cfg.dim)),
+                Some(Dense::new(&mut params, rng, "w_eg", cfg.dim, h2)),
+                Some(params.add_init("w_ag", &[h2, 1], Initializer::XavierUniform, rng)),
             )
         } else {
             (None, None, None)
@@ -241,7 +234,7 @@ impl JointModel {
             JointVariant::ConExtractor | JointVariant::AveExtractor => h2 + cfg.dec_hidden,
             _ => 2 * h2,
         };
-        let e_head = Dense::new(&mut params, &mut rng, "e.head", e_in, NUM_TAGS);
+        let e_head = Dense::new(&mut params, rng, "e.head", e_in, NUM_TAGS);
 
         JointModel {
             params,

@@ -22,10 +22,46 @@ impl ParamId {
 }
 
 /// A flat, append-only collection of named parameter tensors.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+///
+/// A store is built by a model's constructor, one [`Params::add_init`] per
+/// parameter. A fresh store ([`Params::new`]) initialises each tensor; a
+/// restoring store ([`Params::restoring`]) already holds saved tensors and
+/// checks each `add_init` against the next of them instead.
+#[derive(Debug, Clone, Default)]
 pub struct Params {
     names: Vec<String>,
     tensors: Vec<Tensor>,
+    /// Present until a restoring store is finished.
+    restore: Option<Restore>,
+}
+
+/// Progress of a restore: how many parameters the model has registered,
+/// and the first mismatch of each kind, reported in the order of
+/// [`Params::finish_restore`].
+#[derive(Debug, Clone, Default)]
+struct Restore {
+    registered: usize,
+    name_mismatch: Option<String>,
+    shape_mismatch: Option<String>,
+}
+
+impl serde::Serialize for Params {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Obj(vec![
+            ("names".into(), self.names.to_value()),
+            ("tensors".into(), self.tensors.to_value()),
+        ])
+    }
+}
+
+impl serde::Deserialize for Params {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        Ok(Params {
+            names: serde::Deserialize::from_value(v.field("names")?)?,
+            tensors: serde::Deserialize::from_value(v.field("tensors")?)?,
+            restore: None,
+        })
+    }
 }
 
 impl Params {
@@ -40,6 +76,7 @@ impl Params {
     /// Panics on duplicate names — every parameter must be addressable for
     /// checkpointing.
     pub fn add(&mut self, name: &str, tensor: Tensor) -> ParamId {
+        assert!(self.restore.is_none(), "a restoring store takes parameters from add_init");
         assert!(!self.names.iter().any(|n| n == name), "duplicate parameter name {name:?}");
         self.names.push(name.to_string());
         self.tensors.push(tensor);
@@ -52,7 +89,39 @@ impl Params {
         ParamId(self.tensors.len() - 1)
     }
 
-    /// Registers a freshly initialised tensor.
+    /// A store that restores `saved`: a model constructor run against it
+    /// registers the saved tensors in place of fresh ones. Each
+    /// [`Params::add_init`] checks the next saved name and shape, draws
+    /// nothing from its RNG and allocates nothing; a tensor whose shape
+    /// disagrees is never built, however large the shape asked for.
+    /// [`Params::finish_restore`] reports the result. `saved` may come from
+    /// an untrusted file.
+    pub fn restoring(saved: Params) -> Params {
+        Params { restore: Some(Restore::default()), ..saved }
+    }
+
+    /// Ends a restore started by [`Params::restoring`]. On success the
+    /// store is an ordinary one holding the saved values. Otherwise the
+    /// error names the first parameter that differs: a name out of place,
+    /// missing or extra; then a tensor count that differs from the name
+    /// count; then a shape. A store that is not restoring returns `Ok`.
+    pub fn finish_restore(&mut self) -> Result<(), String> {
+        let Some(r) = self.restore.take() else { return Ok(()) };
+        let extra =
+            self.names.get(r.registered).map(|got| format!("`{got}` given, not expected"));
+        let (t, n) = (self.tensors.len(), self.names.len());
+        let count = (t != n).then(|| format!("{t} tensors given for {n} names"));
+        if let Some(e) = r.name_mismatch.or(extra).or(count).or(r.shape_mismatch) {
+            return Err(e);
+        }
+        let bytes = (self.num_scalars() * std::mem::size_of::<f32>()) as f64;
+        wb_obs::gauge!("tensor.params.bytes", bytes);
+        wb_obs::gauge_max!("tensor.params.bytes.peak", bytes);
+        Ok(())
+    }
+
+    /// Registers a freshly initialised tensor or, in a restoring store,
+    /// the next saved one (see [`Params::restoring`]).
     pub fn add_init(
         &mut self,
         name: &str,
@@ -60,8 +129,28 @@ impl Params {
         init: Initializer,
         rng: &mut StdRng,
     ) -> ParamId {
-        let t = init.build(shape, rng);
-        self.add(name, t)
+        let Some(r) = &mut self.restore else {
+            let t = init.build(shape, rng);
+            return self.add(name, t);
+        };
+        let id = r.registered;
+        r.registered += 1;
+        if r.name_mismatch.is_none() {
+            r.name_mismatch = match self.names.get(id) {
+                None => Some(format!("`{name}` expected, not given")),
+                Some(got) if got != name => {
+                    Some(format!("`{name}` expected, `{got}` given in its place"))
+                }
+                Some(_) => None,
+            };
+        }
+        if r.shape_mismatch.is_none() {
+            r.shape_mismatch =
+                self.tensors.get(id).filter(|t| t.shape() != shape).map(|t| {
+                    format!("`{name}`: shape {:?} given, {shape:?} expected", t.shape())
+                });
+        }
+        ParamId(id)
     }
 
     /// Borrows a parameter tensor.
@@ -111,50 +200,19 @@ impl Params {
     /// Copies values from another store with identical structure.
     ///
     /// # Panics
-    /// Panics when names or shapes disagree — see [`Params::try_copy_from`].
+    /// Panics when names or shapes disagree.
     pub fn copy_from(&mut self, other: &Params) {
-        if let Err(e) = self.try_copy_from(other) {
-            panic!("parameter structure mismatch: {e}");
-        }
-    }
-
-    /// Copies values from another store after checking that it holds the
-    /// same names, one tensor per name, and the same shapes. On a mismatch
-    /// nothing is copied and the error names the first parameter that
-    /// differs. `other` may come from an untrusted file, so its name and
-    /// tensor counts are checked separately.
-    pub fn try_copy_from(&mut self, other: &Params) -> Result<(), String> {
-        let positions = self.names.len().max(other.names.len());
-        if let Some(i) = (0..positions).find(|&i| self.names.get(i) != other.names.get(i)) {
-            return Err(match (self.names.get(i), other.names.get(i)) {
-                (Some(want), Some(got)) => {
-                    format!("`{want}` expected, `{got}` given in its place")
-                }
-                (Some(want), None) => format!("`{want}` expected, not given"),
-                (None, Some(got)) => format!("`{got}` given, not expected"),
-                (None, None) => unreachable!("names at {i} differ"),
-            });
-        }
-        if other.tensors.len() != other.names.len() {
-            let (t, n) = (other.tensors.len(), other.names.len());
-            return Err(format!("{t} tensors given for {n} names"));
-        }
-        let pairs = self.names.iter().zip(self.tensors.iter().zip(&other.tensors));
-        for (name, (want, got)) in pairs {
-            if want.shape() != got.shape() {
-                let (got, want) = (got.shape(), want.shape());
-                return Err(format!("`{name}`: shape {got:?} given, {want:?} expected"));
-            }
-        }
+        let same_shapes = self.tensors.len() == other.tensors.len()
+            && self.tensors.iter().zip(&other.tensors).all(|(a, b)| a.shape() == b.shape());
+        assert!(self.names == other.names && same_shapes, "parameter structure mismatch");
         self.tensors.clone_from_slice(&other.tensors);
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn add_get_find() {
@@ -197,8 +255,10 @@ mod tests {
         assert_eq!(a.get(ParamId(0)).data(), b.get(ParamId(0)).data());
     }
 
+    /// Saved stores as a file can hold them, restored into a model that
+    /// registers `a: [1]` then `b: [2]`.
     #[test]
-    fn try_copy_from_names_the_first_mismatch_and_copies_nothing() {
+    fn restoring_names_the_first_mismatch() {
         let store = |entries: &[(&str, usize)]| {
             let mut p = Params::new();
             for &(name, n) in entries {
@@ -206,20 +266,38 @@ mod tests {
             }
             p
         };
-        let mut dst = store(&[("a", 1), ("b", 2)]);
-        for (src, why) in [
+        let restore = |saved: Params| {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut p = Params::restoring(saved);
+            let a = p.add_init("a", &[1], Initializer::Uniform(1.0), &mut rng);
+            let b = p.add_init("b", &[2], Initializer::Uniform(1.0), &mut rng);
+            // The restore drew nothing from the RNG.
+            assert_eq!(rng.next_u64(), StdRng::seed_from_u64(3).next_u64());
+            p.finish_restore().map(|()| (p, a, b))
+        };
+        let (p, a, b) = restore(store(&[("a", 1), ("b", 2)])).unwrap();
+        assert_eq!((p.get(a).data(), p.get(b).data()), (&[1.0][..], &[2.0, 2.0][..]));
+        assert_eq!((p.name(b), p.len()), ("b", 2));
+        for (saved, why) in [
             (store(&[("a", 1), ("c", 2)]), "`b` expected, `c` given in its place"),
             (store(&[("a", 1)]), "`b` expected, not given"),
             (store(&[("a", 1), ("b", 2), ("c", 3)]), "`c` given, not expected"),
             (store(&[("a", 1), ("b", 3)]), "`b`: shape [3] given, [2] expected"),
+            // A name error outranks an earlier shape error.
+            (store(&[("a", 2), ("c", 2)]), "`b` expected, `c` given in its place"),
         ] {
-            assert_eq!(dst.try_copy_from(&src).unwrap_err(), why);
+            assert_eq!(restore(saved).unwrap_err(), why);
         }
         // Names intact but a tensor short, as a hand-edited file can be.
         let mut short = store(&[("a", 7), ("b", 2)]);
         short.tensors.pop();
-        let err = dst.try_copy_from(&short).unwrap_err();
-        assert_eq!(err, "1 tensors given for 2 names");
-        assert_eq!(dst.get(ParamId(0)).data(), &[1.0]);
+        assert_eq!(restore(short).unwrap_err(), "1 tensors given for 2 names");
+        // A shape too large to allocate is compared, never built.
+        let mut p = Params::restoring(store(&[("a", 1)]));
+        p.add_init("a", &[usize::MAX, 4], Initializer::Zeros, &mut StdRng::seed_from_u64(0));
+        assert_eq!(
+            p.finish_restore().unwrap_err(),
+            "`a`: shape [1] given, [18446744073709551615, 4] expected"
+        );
     }
 }

@@ -9,6 +9,7 @@
 use crate::normalize::normalize;
 use crate::vocab::{Vocab, UNK};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Configuration for [`WordPiece::train`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,10 +35,10 @@ impl Default for WordPieceConfig {
     }
 }
 
-/// A trained WordPiece tokenizer.
+/// A trained WordPiece tokenizer. Clones share one vocabulary.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct WordPiece {
-    vocab: Vocab,
+    vocab: Arc<Vocab>,
     max_word_chars: usize,
 }
 
@@ -102,12 +103,12 @@ impl WordPiece {
             vocab.add(p);
         }
 
-        WordPiece { vocab, max_word_chars: 64 }
+        WordPiece::from_vocab(vocab)
     }
 
     /// A tokenizer over a fixed, externally-built vocabulary (for tests).
     pub fn from_vocab(vocab: Vocab) -> Self {
-        WordPiece { vocab, max_word_chars: 64 }
+        WordPiece { vocab: Arc::new(vocab), max_word_chars: 64 }
     }
 
     /// The underlying vocabulary.

@@ -687,10 +687,66 @@ fn bad_checkpoints_exit_2_instead_of_panicking() {
     let unnamed = dir.join("unnamed.json");
     std::fs::write(&unnamed, serde_json::to_string(&tree).unwrap()).unwrap();
 
+    // A configuration too large to allocate: its first hidden-wide matrix
+    // alone needs more bytes than any address space holds, so a restore
+    // that built the model before comparing shapes would fail at once.
+    let oversized = dir.join("oversized.json");
+    let huge = "\"hidden\":1000000000000000000";
+    std::fs::write(&oversized, saved.replacen("\"hidden\":16", huge, 1)).unwrap();
+
+    // Tokenizer edits, each of which loaded and then failed every page.
+    let edit_vocab = |name: &str, edit: &dyn Fn(&mut Vec<Value>, &mut Value)| {
+        let mut tree: Value = serde_json::from_str(&saved).unwrap();
+        let Value::Obj(top) = &mut tree else { panic!("a checkpoint is an object") };
+        let vocab = member_mut(member_mut(&mut top[0].1, "tokenizer"), "vocab");
+        let Value::Arr(mut tokens) = member_mut(vocab, "id_to_token").clone() else {
+            panic!("id_to_token array")
+        };
+        edit(&mut tokens, vocab);
+        *member_mut(vocab, "id_to_token") = Value::Arr(tokens);
+        let path = dir.join(name);
+        std::fs::write(&path, serde_json::to_string(&tree).unwrap()).unwrap();
+        path
+    };
+    // A map, as older files carry, with one id past the end of the list.
+    let past_the_list = edit_vocab("past_the_list.json", &|tokens, vocab| {
+        let mut map: Vec<(String, Value)> = tokens
+            .iter()
+            .enumerate()
+            .map(|(id, t)| (t.as_str().unwrap().to_string(), Value::Num(id as f64)))
+            .collect();
+        map.last_mut().unwrap().1 = Value::Num(99999.0);
+        let Value::Obj(entries) = vocab else { panic!("vocab object") };
+        entries.insert(0, ("token_to_id".into(), Value::Obj(map)));
+    });
+    let empty_vocab = edit_vocab("empty_vocab.json", &|tokens, _| tokens.clear());
+    let duplicate = edit_vocab("duplicate.json", &|tokens, _| {
+        let first_word = tokens[6].clone();
+        *tokens.last_mut().unwrap() = first_word;
+    });
+    let longer =
+        edit_vocab("longer.json", &|tokens, _| tokens.push(Value::Str("[NEW]".into())));
+    let tree: Value = serde_json::from_str(&saved).unwrap();
+    let Value::Obj(top) = &tree else { panic!("a checkpoint is an object") };
+    let config_vocab =
+        top[0].1.get("config").and_then(|c| c.get("vocab")).and_then(Value::as_f64);
+    let config_vocab = config_vocab.expect("config.vocab") as usize;
+
     for (ckpt, why) in [
         (&truncated, format!("needs {n} values, data holds {}", n - 1)),
         (&mismatched, "do not match the architecture".to_string()),
         (&unnamed, format!("`{last}` expected, not given")),
+        (&oversized, "1000000000000000000] expected".to_string()),
+        (&past_the_list, "token_to_id disagrees with id_to_token".to_string()),
+        (&empty_vocab, "must start with the special tokens".to_string()),
+        (&duplicate, "twice".to_string()),
+        (
+            &longer,
+            format!(
+                "tokenizer holds {} tokens, the configuration {config_vocab}",
+                config_vocab + 1
+            ),
+        ),
     ] {
         let out = wb()
             .args(["brief", "--model", ckpt.to_str().unwrap(), page.to_str().unwrap()])
