@@ -533,19 +533,21 @@ impl Tensor {
     /// Matrix product of rank-2 tensors, with optional transposition of
     /// either operand. `matmul(a, b, false, false)` computes `a @ b`.
     ///
-    /// Products of more than one output row above
-    /// [`crate::kernels::PACK_MIN_MACS`] multiply-accumulates take the
-    /// packed, cache-blocked path (see [`crate::kernels`]): the
-    /// transposed operand is repacked into row-major panels once per call,
-    /// so all four transpose variants hit the same SIMD-friendly inner
-    /// loop. Large products (≥ [`PAR_MIN_ROWS`] output rows and ≥
-    /// [`PAR_MIN_MACS`] multiply-accumulates) are additionally split by
-    /// output row across the rayon pool. Each output element accumulates
-    /// in ascending-`k` order on a single chain on every path and no term
-    /// is ever skipped, so the result is bit-for-bit identical for any
-    /// thread count and variant on every non-NaN output, and NaN/Inf
-    /// inputs poison exactly the same outputs everywhere (only the payload
-    /// of a NaN-vs-NaN sum is codegen-chosen — see [`crate::kernels`]).
+    /// Products run the register-blocked, cache-blocked tile kernel of
+    /// [`crate::kernels`], reading untransposed operands in place. A
+    /// transposed operand is repacked into row-major layout once per call
+    /// when the product has more than one output row and at least
+    /// [`crate::kernels::PACK_MIN_MACS`] multiply-accumulates, so all four
+    /// transpose variants hit the same SIMD-friendly inner loop; smaller
+    /// transposed products run plain per-variant loops. Large products
+    /// (≥ [`PAR_MIN_ROWS`] output rows and ≥ [`PAR_MIN_MACS`]
+    /// multiply-accumulates) are additionally split by output row across
+    /// the rayon pool. Each output element accumulates in ascending-`k`
+    /// order on a single chain on every path and no term is ever skipped,
+    /// so the result is bit-for-bit identical for any thread count and
+    /// variant on every non-NaN output, and NaN/Inf inputs poison exactly
+    /// the same outputs everywhere (only the payload of a NaN-vs-NaN sum is
+    /// codegen-chosen — see [`crate::kernels`]).
     pub fn matmul(&self, other: &Tensor, trans_a: bool, trans_b: bool) -> Tensor {
         let (am, ak, bn) = matmul_check(self, other, trans_a, trans_b);
         let mut out = scratch::zeroed(am * bn);
@@ -579,9 +581,9 @@ impl Tensor {
 
     /// Serial reference matmul: same results as [`Tensor::matmul`]
     /// (bit-for-bit up to NaN payloads — see [`crate::kernels`]'s
-    /// bit-exactness contract), but never uses the thread pool or the packed
-    /// kernels — it always runs the direct per-variant loops. Kept public
-    /// so tests and benchmarks can compare the packed/parallel paths
+    /// bit-exactness contract), but never uses the thread pool or the tile
+    /// kernel — it always runs the direct per-variant loops. Kept public
+    /// so tests and benchmarks can compare the tiled/parallel paths
     /// against an independent implementation.
     pub fn matmul_serial(&self, other: &Tensor, trans_a: bool, trans_b: bool) -> Tensor {
         let (am, ak, bn) = matmul_check(self, other, trans_a, trans_b);
@@ -785,13 +787,13 @@ fn matmul_check(a: &Tensor, b: &Tensor, trans_a: bool, trans_b: bool) -> (usize,
 }
 
 /// Runs a matmul either serially or split by output row over the pool,
-/// routing large products through the packed/tiled [`crate::kernels`] and
-/// small or one-row ones through the direct per-variant loops. Both paths accumulate
-/// every output element in ascending-`k` order on a single chain and
-/// never skip a term, so results are bit-identical across paths, thread
-/// counts, and transpose variants — non-finite inputs poison the same
-/// outputs everywhere, with only NaN payloads left codegen-chosen (see
-/// [`crate::kernels`]).
+/// routing it through the tile kernel of [`crate::kernels`], or through the
+/// direct per-variant loops when it is a small or one-row product with a
+/// transposed operand. Both paths accumulate every output element in
+/// ascending-`k` order on a single chain and never skip a term, so
+/// results are bit-identical across paths, thread counts, and transpose
+/// variants — non-finite inputs poison the same outputs everywhere, with
+/// only NaN payloads left codegen-chosen (see [`crate::kernels`]).
 #[allow(clippy::too_many_arguments)]
 fn matmul_dispatch(
     a: &[f32],
@@ -828,42 +830,24 @@ fn matmul_dispatch(
         wb_obs::counter!("tensor.matmul.dispatch.serial");
     }
     // `matmul_serial` (allow_parallel = false) stays on the direct loops:
-    // it is the independent reference the packed path is tested against.
-    // A one-row product never packs: packing copies all of `B` to use each
-    // element once, which costs more than the direct loop itself.
-    if allow_parallel && am > 1 && ak > 0 && macs >= crate::kernels::PACK_MIN_MACS {
-        crate::kernels::matmul_packed(
-            a,
-            b,
-            trans_a,
-            trans_b,
-            am,
-            ak,
-            bn,
-            out,
-            parallel,
-            par_chunk(am),
-        );
-    } else {
+    // it is the independent reference the tile kernel is tested against.
+    // The tiles read rows, so only a transposed operand is packed for them
+    // (a one-row Aᵀ, `[k, 1]`, is laid out as its own row), and only when
+    // there is more than one output row and enough work to pay for the
+    // copy; a smaller transposed product runs the direct loop, which is
+    // never large enough to go parallel.
+    let pack_a = trans_a && am > 1;
+    if !allow_parallel
+        || ((pack_a || trans_b) && (am == 1 || macs < crate::kernels::PACK_MIN_MACS))
+    {
+        debug_assert!(!parallel);
         wb_obs::counter!("tensor.matmul.kernel.direct");
-        if parallel {
-            let rows_per = par_chunk(am);
-            out.par_chunks_mut(rows_per * bn).enumerate().for_each(|(ci, chunk)| {
-                crate::kernels::direct_rows(
-                    a,
-                    b,
-                    trans_a,
-                    trans_b,
-                    am,
-                    ak,
-                    bn,
-                    ci * rows_per,
-                    chunk,
-                );
-            });
-        } else {
-            crate::kernels::direct_rows(a, b, trans_a, trans_b, am, ak, bn, 0, out);
-        }
+        crate::kernels::direct_rows(a, b, trans_a, trans_b, am, ak, bn, out);
+    } else {
+        // `par_chunk` reads the pool size, which costs more than a small
+        // product: ask only when going parallel.
+        let par_rows = parallel.then(|| par_chunk(am));
+        crate::kernels::matmul_tiled(a, b, pack_a, trans_b, am, ak, bn, out, par_rows);
     }
 }
 
@@ -1084,8 +1068,9 @@ mod tests {
     #[test]
     fn packed_path_bit_matches_serial_reference() {
         // Big enough to cross PACK_MIN_MACS (and the parallel thresholds)
-        // so `matmul` takes the packed kernels while `matmul_serial` stays
-        // on the direct loops — a genuine cross-implementation check, with
+        // so `matmul` packs its transposed operands for the tiles (and
+        // tiles the unpacked B of `nn`) while `matmul_serial` stays on the
+        // direct loops — a genuine cross-implementation check, with
         // non-finite values and zero rows/columns laced in.
         let n = crate::kernels::KC + 40;
         let mut adata: Vec<f32> =
@@ -1111,8 +1096,9 @@ mod tests {
         }
 
         // A one-row product above PACK_MIN_MACS (the decoder's output
-        // projection, 1×52×606): `matmul` now takes the direct loops, so
-        // the packed kernel is run by hand as the cross-check.
+        // projection, 1×52×606): `matmul` packs nothing for it, so the
+        // tiles over the packed transposed operands are run by hand as the
+        // cross-check.
         let (m, k, n) = (1, 52, 606);
         assert!(m * k * n >= crate::kernels::PACK_MIN_MACS);
         let mut adata: Vec<f32> = (0..k).map(|i| (i % 7) as f32 * 0.25 - 0.75).collect();
@@ -1129,7 +1115,7 @@ mod tests {
             let direct = a_op.matmul(&b_op, ta, tb);
             let ser = a_op.matmul_serial(&b_op, ta, tb);
             let mut packed = vec![0.0; m * n];
-            crate::kernels::matmul_packed(
+            crate::kernels::matmul_tiled(
                 a_op.data(),
                 b_op.data(),
                 ta,
@@ -1138,14 +1124,13 @@ mod tests {
                 k,
                 n,
                 &mut packed,
-                false,
-                m,
+                None,
             );
             let db: Vec<u32> = direct.data().iter().map(canon_bits).collect();
             let sb: Vec<u32> = ser.data().iter().map(canon_bits).collect();
             let pb: Vec<u32> = packed.iter().map(canon_bits).collect();
             assert_eq!(db, sb, "one-row variant ({ta}, {tb}) diverged from serial");
-            assert_eq!(db, pb, "one-row variant ({ta}, {tb}) diverged from the packed kernel");
+            assert_eq!(db, pb, "one-row variant ({ta}, {tb}) diverged from the packed tiles");
         }
     }
 

@@ -19,14 +19,18 @@ fn counter(name: &str) -> u64 {
 fn flops_counter_equals_executed_macs() {
     // Zero-laced inputs: under the old zero-skip, executed MACs would fall
     // short of nominal on exactly these (≈1/17 of fill values are zero, plus
-    // a forced zero row). Mixed shapes cover the packed path (large, beyond
-    // PACK_MIN_MACS), the direct path (small), a one-row product above
-    // PACK_MIN_MACS (the decoder's 1×52×606 output projection, which must
-    // take the direct path: packing all of B to use it once costs more than
-    // the product) and all four variants.
+    // a forced zero row). Mixed shapes cover products that pack their
+    // transposed operands (large, beyond PACK_MIN_MACS), the direct loops
+    // (small transposed products), an encoder-shaped product (its `nn`
+    // variant must tile the unpacked B in place, packing nothing), a
+    // one-row product above PACK_MIN_MACS (the decoder's 1×52×606 output
+    // projection, which must never pack: packing all of B to use it once
+    // costs more than the product) and all four variants.
     let one_row = (1, 52, 606);
     const _: () = assert!(52 * 606 >= wb_tensor::kernels::PACK_MIN_MACS);
-    let shapes: &[(usize, usize, usize)] = &[(3, 5, 4), (40, 64, 48), (150, 130, 140), one_row];
+    let encoder = (124, 125, 20);
+    let large = (150, 130, 140);
+    let shapes: &[(usize, usize, usize)] = &[(3, 5, 4), (40, 64, 48), large, encoder, one_row];
     let mut nominal_macs = 0u64;
     let (flops0, macs0) =
         (counter("tensor.matmul.flops"), counter("tensor.matmul.kernel.macs"));
@@ -44,10 +48,16 @@ fn flops_counter_equals_executed_macs() {
             let b = Tensor::from_vec(&b_shape, bv);
             std::hint::black_box(a.matmul(&b, ta, tb));
             nominal_macs += (m * k * n) as u64;
+            let direct = counter("tensor.matmul.kernel.direct") - direct0;
+            let packed = counter("tensor.matmul.pack.calls") - pack0;
             if (m, k, n) == one_row {
-                let direct = counter("tensor.matmul.kernel.direct") - direct0;
-                let packed = counter("tensor.matmul.pack.calls") - pack0;
                 assert_eq!((direct, packed), (1, 0), "one-row ({ta}, {tb}) must not pack");
+            }
+            if !ta && !tb {
+                assert_eq!((direct, packed), (1, 0), "{m}×{k}×{n} nn must not pack");
+            }
+            if (m, k, n) == large && (ta || tb) {
+                assert_eq!((direct, packed), (0, 1), "large ({ta}, {tb}) must pack");
             }
         }
     }

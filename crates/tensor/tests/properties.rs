@@ -202,9 +202,8 @@ proptest! {
         }
     }
 
-    /// `pack_b` is a pure relayout: every element of B (straight or
-    /// transposed) lands at exactly `packed_index(k, j)`, bit-preserved —
-    /// and both orientations of the same logical matrix pack identically.
+    /// `pack_b` is a pure relayout: every element of a transposed B lands
+    /// at exactly `packed_index(k, j)`, bit-preserved.
     #[test]
     fn pack_b_round_trip(
         seed in 0u64..1_000_000,
@@ -212,33 +211,19 @@ proptest! {
         bn in 1usize..2 * wb_tensor::kernels::NC + 6,
     ) {
         use wb_tensor::kernels::{pack_b, packed_index};
-        let mut b = lcg_fill(seed, ak * bn);
+        // B stored transposed: bt[[j, k]] is the logical b[[k, j]].
+        let mut bt = lcg_fill(seed, ak * bn);
         if ak > 1 && bn > 1 {
-            lace_nonfinite(&mut b, ak, bn, seed);
+            lace_nonfinite(&mut bt, bn, ak, seed);
         }
-        // The same matrix stored transposed: bt[[j, k]] = b[[k, j]].
-        let mut bt = vec![0.0f32; ak * bn];
+        let mut packed = Vec::new();
+        pack_b(&bt, ak, bn, &mut packed);
+        prop_assert_eq!(packed.len(), ak * bn);
         for k in 0..ak {
             for j in 0..bn {
-                bt[j * ak + k] = b[k * bn + j];
-            }
-        }
-        let mut straight = Vec::new();
-        let mut transposed = Vec::new();
-        pack_b(&b, false, ak, bn, &mut straight);
-        pack_b(&bt, true, ak, bn, &mut transposed);
-        prop_assert_eq!(straight.len(), ak * bn);
-        prop_assert_eq!(transposed.len(), ak * bn);
-        for k in 0..ak {
-            for j in 0..bn {
-                let idx = packed_index(k, j, ak, bn);
                 prop_assert!(
-                    straight[idx].to_bits() == b[k * bn + j].to_bits(),
-                    "straight pack misplaced ({}, {})", k, j
-                );
-                prop_assert!(
-                    transposed[idx].to_bits() == b[k * bn + j].to_bits(),
-                    "transposed pack misplaced ({}, {})", k, j
+                    packed[packed_index(k, j, ak, bn)].to_bits() == bt[j * ak + k].to_bits(),
+                    "pack misplaced ({}, {})", k, j
                 );
             }
         }
@@ -304,4 +289,48 @@ fn graph_stats_counts() {
     assert_eq!(stats.per_op["tanh"], 1);
     assert_eq!(stats.matmul_flops, 2 * 8 * 4);
     assert!(stats.elements > 2 * 4 + 4 * 8 + 2 * 8 * 2);
+}
+
+/// Sets one seed-chosen element to `special` and two others to `-0.0` and
+/// `0.0`, leaving the rest finite so most outputs still compare as finite
+/// values.
+fn lace_points(data: &mut [f32], seed: usize, special: f32) {
+    let n = data.len();
+    data[(seed * 31) % n] = -0.0;
+    data[(seed * 53 + 1) % n] = 0.0;
+    data[(seed * 97 + 2) % n] = special;
+}
+
+/// Every tile shape of the matmul kernel against `matmul_serial`'s plain
+/// per-variant loops, in all four transpose variants: 1..=9 rows (full
+/// 4-row tiles plus each 1–3-row remainder) and a row count that splits
+/// across the pool, every width up to 40 columns (16-, 8-, 4- and 1-column
+/// tiles, 32 for single rows) and one past a column panel, depths inside
+/// and past one depth panel, with NaN/±Inf/−0.0 laced into the inputs.
+#[test]
+fn every_tile_shape_matches_serial_reference() {
+    use wb_tensor::kernels::{KC, NC};
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    let mut case = 0usize;
+    for m in (1..=9).chain([wb_tensor::PAR_MIN_ROWS + 5]) {
+        for n in (1..=40).chain([NC + 3]) {
+            for k in [1, 2, 7, KC + 5] {
+                for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                    case += 1;
+                    let a_shape = if ta { [k, m] } else { [m, k] };
+                    let b_shape = if tb { [n, k] } else { [k, n] };
+                    let mut av = lcg_fill(case as u64, m * k);
+                    let mut bv = lcg_fill(!(case as u64), k * n);
+                    lace_points(&mut av, case, specials[case % 3]);
+                    lace_points(&mut bv, case / 3, specials[case / 3 % 3]);
+                    let a = Tensor::from_vec(&a_shape, av);
+                    let b = Tensor::from_vec(&b_shape, bv);
+                    assert!(
+                        bits(&a.matmul(&b, ta, tb)) == bits(&a.matmul_serial(&b, ta, tb)),
+                        "m={m} k={k} n={n} ta={ta} tb={tb} diverged from matmul_serial"
+                    );
+                }
+            }
+        }
+    }
 }
