@@ -272,8 +272,8 @@ impl Briefer {
         &self.tokenizer
     }
 
-    /// Briefs a raw HTML page: parse → [`Briefer::prepare`] →
-    /// [`Briefer::brief_chunks`].
+    /// Briefs a raw HTML page: parse → [`Briefer::prepare`] → one
+    /// [`Briefer::brief_batch`] over its sub-documents.
     ///
     /// Each stage of the pipeline runs under a `wb-obs` span, so
     /// `wb report` can show where page latency goes:
@@ -283,7 +283,7 @@ impl Briefer {
     /// ├── brief.parse
     /// ├── brief.normalize
     /// ├── brief.wordpiece
-    /// └── brief.infer            one per chunk; self time = brief assembly
+    /// └── brief.infer            one per chunk; self time = chunk assembly
     ///     ├── brief.encode       the one shared encoder pass
     ///     │   ├── brief.embed    embedder + sentence representations
     ///     │   ├── brief.lstm_e   token Bi-LSTM E
@@ -296,14 +296,22 @@ impl Briefer {
     ///     └── brief.free         dropping the chunk's tape
     /// ```
     ///
-    /// Spans time; they never alter the brief.
+    /// A multi-chunk page briefed off the pool fans its chunks out, so its
+    /// `brief.infer` spans open on pool threads as root paths and
+    /// `brief.page`'s self time includes the wait for them. Spans time;
+    /// they never alter the brief.
     pub fn brief_html(&self, html: &str) -> Result<Brief, BriefError> {
         let _page = wb_obs::span!("brief.page");
+        self.brief_batch(&[html], |html| self.prepare_html(html)).pop().expect("one page in")
+    }
+
+    /// Parses a raw HTML page and [`Briefer::prepare`]s it.
+    pub fn prepare_html(&self, html: &str) -> Result<Vec<Example>, BriefError> {
         let dom = {
             let _s = wb_obs::span!("brief.parse");
             parse_document(html).map_err(BriefError::Parse)?
         };
-        Ok(self.brief_chunks(&self.prepare(&dom)?))
+        self.prepare(&dom)
     }
 
     /// Turns a parsed page into its model inputs, the one way every path
@@ -328,11 +336,13 @@ impl Briefer {
         Ok(chunks)
     }
 
-    /// Briefs a batch of HTML pages (see [`Briefer::brief_batch`]); each
-    /// entry is what [`Briefer::brief_html`] returns for that page.
+    /// Briefs many HTML pages; each entry is what [`Briefer::brief_html`]
+    /// returns for that page. The pages fan out over the rayon pool, so
+    /// each page's own chunk fan-out runs inline on its worker.
     pub fn brief_corpus(&self, htmls: &[String]) -> Vec<Result<Brief, BriefError>> {
+        use rayon::prelude::*;
         let start = std::time::Instant::now();
-        let out = self.brief_batch(htmls, |html| self.brief_html(html));
+        let out: Vec<_> = htmls.par_iter().map(|html| self.brief_html(html)).collect();
         let secs = start.elapsed().as_secs_f64();
         if secs > 0.0 {
             wb_obs::gauge!("brief.pages_per_sec", htmls.len() as f64 / secs);
@@ -341,81 +351,149 @@ impl Briefer {
         out
     }
 
-    /// Runs `brief_one` over every item, fanned over the rayon pool — the
-    /// one briefing fan-out `wb brief`, `wb serve` and `wb crawl-brief`
-    /// share.
+    /// Briefs a batch of pages, one result per item in input order — the
+    /// one briefing fan-out that `wb brief`, `wb serve` and
+    /// `wb crawl-brief` share.
     ///
-    /// Results come back in input order regardless of thread count.
-    /// Briefing is a pure function of (model, page), so the fan-out cannot
-    /// change any output, only the wall-clock time; set
-    /// `RAYON_NUM_THREADS=1` to force sequential execution. Each item runs
-    /// under its own `catch_unwind`: a panic fails only that item, as
-    /// [`BriefError::Panicked`].
-    pub fn brief_batch<T: Sync>(
+    /// `chunks_of` turns each item into the page's sub-documents in
+    /// document order (the output of [`encode_chunked`]). It runs once per
+    /// item, in item order, on the calling thread, so a per-page fault
+    /// point in it fires in a fixed order. Then every chunk of every page
+    /// is one task of a single fan-out over the rayon pool: each chunk's
+    /// inference is an independent graph, so a batch of long pages keeps
+    /// every thread busy. A call made from a pool worker runs inline.
+    ///
+    /// Each page is then assembled in document order: the broad topic is
+    /// generated from the first sub-document — the page head, where the
+    /// paper's corpus carries the topical signal — while extraction runs
+    /// over every sub-document and the attributes are unioned in document
+    /// order; chunk-local sentence flags are shifted to document-global
+    /// sentence numbers. For a single chunk this is exactly the unchunked
+    /// pipeline.
+    ///
+    /// Briefing is a pure function of (model, page), so neither the thread
+    /// count nor the order in which chunks finish can change any output,
+    /// only the wall-clock time; set `RAYON_NUM_THREADS=1` to force
+    /// sequential execution. `chunks_of` and every chunk run under their
+    /// own `catch_unwind`: a panic fails only its page, as
+    /// [`BriefError::Panicked`] with the message of the first panic in
+    /// document order.
+    pub fn brief_batch<'a, T, C: AsRef<[Example]>>(
         &self,
-        items: &[T],
-        brief_one: impl Fn(&T) -> Result<Brief, BriefError> + Sync,
+        items: &'a [T],
+        chunks_of: impl Fn(&'a T) -> Result<C, BriefError>,
     ) -> Vec<Result<Brief, BriefError>> {
         use rayon::prelude::*;
-        items
+        let pages: Vec<Result<C, BriefError>> =
+            items.iter().map(|item| guarded(|| chunks_of(item))).collect();
+        let tasks: Vec<(usize, &Example)> = pages
+            .iter()
+            .flatten()
+            .flat_map(|chunks| chunks.as_ref().iter().enumerate())
+            .collect();
+        let mut done = tasks
             .par_iter()
-            .map(|item| {
-                catch_unwind(AssertUnwindSafe(|| brief_one(item)))
-                    .unwrap_or_else(|p| Err(BriefError::Panicked(panic_text(p.as_ref()))))
+            .map(|&(i, ex)| guarded(|| Ok(self.brief_chunk(ex, i == 0))))
+            .collect::<Vec<_>>()
+            .into_iter();
+        pages
+            .into_iter()
+            .map(|page| {
+                let n = page?.as_ref().len();
+                // Take all of the page's chunks before looking for a failed
+                // one, so the next page starts at its own first chunk.
+                let chunks: Vec<_> = done.by_ref().take(n).collect();
+                Ok(assemble(chunks.into_iter().collect::<Result<_, _>>()?))
             })
             .collect()
     }
 
-    /// Briefs an already-encoded example (a single sub-document).
-    pub fn brief_example(&self, ex: &Example) -> Brief {
-        self.brief_chunks(std::slice::from_ref(ex))
+    /// Briefs one page given its sub-documents in document order: a
+    /// [`Briefer::brief_batch`] of one page.
+    pub fn brief_chunks(&self, chunks: &[Example]) -> Result<Brief, BriefError> {
+        self.brief_batch(&[chunks], |&chunks| Ok(chunks)).pop().expect("one page in")
     }
 
-    /// Briefs a page given its sub-documents in document order (the output
-    /// of [`encode_chunked`]): the broad topic is generated from the first
-    /// sub-document — the page head, where the paper's corpus carries the
-    /// topical signal — while extraction runs over every sub-document and
-    /// the attributes are unioned in document order. For a single chunk
-    /// this is exactly the unchunked pipeline.
-    pub fn brief_chunks(&self, chunks: &[Example]) -> Brief {
-        let mut topic = String::new();
-        let mut category = None;
-        let mut attributes: Vec<BriefAttribute> = Vec::new();
-        let mut informative_sentences: Vec<usize> = Vec::new();
-        let mut sentence_base = 0usize;
-        for (i, ex) in chunks.iter().enumerate() {
-            let _s = wb_obs::span!("brief.infer");
-            let out = self.model.infer(ex, i == 0);
-            if let Some(ids) = out.topic {
-                topic = self.tokenizer.decode_ids(&ids).join(" ");
-            }
-            for (s, e) in bio_to_spans(&out.tags) {
-                let value = self.tokenizer.decode_ids(&ex.tokens[s..e]).join(" ");
-                let name = infer_attribute_name(&self.tokenizer, ex, s);
-                // The category attribute is promoted to its own hierarchy
-                // level (the paper's "high-level key attribute"); the first
-                // one in document order wins.
-                if name == "category" && category.is_none() {
-                    category = Some(value);
-                } else {
-                    attributes.push(BriefAttribute { name, value });
-                }
-            }
-            // Sentence flags are chunk-local; shift them to document-global
-            // sentence numbers.
-            if let Some(flags) = out.sections {
-                informative_sentences.extend(
-                    flags
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &f)| f)
-                        .map(|(i, _)| sentence_base + i),
-                );
-            }
-            sentence_base += ex.num_sentences();
-        }
-        Brief { topic, category, attributes, informative_sentences }
+    /// Briefs an already-encoded example (a single sub-document).
+    ///
+    /// # Panics
+    /// If inference panics.
+    pub fn brief_example(&self, ex: &Example) -> Brief {
+        self.brief_chunks(std::slice::from_ref(ex)).unwrap_or_else(|e| panic!("{e}"))
     }
+
+    /// One chunk's share of its page's brief: the inference pass, then the
+    /// BIO spans decoded into named attributes.
+    fn brief_chunk(&self, ex: &Example, first: bool) -> ChunkBrief {
+        let _s = wb_obs::span!("brief.infer");
+        let out = self.model.infer(ex, first);
+        let attributes = bio_to_spans(&out.tags)
+            .into_iter()
+            .map(|(s, e)| BriefAttribute {
+                name: infer_attribute_name(&self.tokenizer, ex, s),
+                value: self.tokenizer.decode_ids(&ex.tokens[s..e]).join(" "),
+            })
+            .collect();
+        ChunkBrief {
+            topic: out.topic.map(|ids| self.tokenizer.decode_ids(&ids).join(" ")),
+            attributes,
+            sections: out.sections,
+            sentences: ex.num_sentences(),
+        }
+    }
+}
+
+/// What one chunk contributes to its page's brief.
+struct ChunkBrief {
+    /// The generated topic (first chunk only).
+    topic: Option<String>,
+    /// Extracted attributes in chunk order, category cues included.
+    attributes: Vec<BriefAttribute>,
+    /// Chunk-local informative-sentence flags.
+    sections: Option<Vec<bool>>,
+    /// Sentences in the chunk.
+    sentences: usize,
+}
+
+/// Joins a page's chunk briefs, given in document order, into its brief.
+fn assemble(chunks: Vec<ChunkBrief>) -> Brief {
+    let mut brief = Brief {
+        topic: String::new(),
+        category: None,
+        attributes: Vec::new(),
+        informative_sentences: Vec::new(),
+    };
+    let mut sentence_base = 0usize;
+    for chunk in chunks {
+        if let Some(topic) = chunk.topic {
+            brief.topic = topic;
+        }
+        for attr in chunk.attributes {
+            // The category attribute is promoted to its own hierarchy
+            // level (the paper's "high-level key attribute"); the first
+            // one in document order wins.
+            if attr.name == "category" && brief.category.is_none() {
+                brief.category = Some(attr.value);
+            } else {
+                brief.attributes.push(attr);
+            }
+        }
+        // Sentence flags are chunk-local; shift them to document-global
+        // sentence numbers.
+        if let Some(flags) = chunk.sections {
+            brief.informative_sentences.extend(
+                flags.iter().enumerate().filter(|&(_, &f)| f).map(|(i, _)| sentence_base + i),
+            );
+        }
+        sentence_base += chunk.sentences;
+    }
+    brief
+}
+
+/// Runs `f`, turning a panic into [`BriefError::Panicked`].
+fn guarded<R>(f: impl FnOnce() -> Result<R, BriefError>) -> Result<R, BriefError> {
+    catch_unwind(AssertUnwindSafe(f))
+        .unwrap_or_else(|p| Err(BriefError::Panicked(panic_text(p.as_ref()))))
 }
 
 /// The message of a caught panic payload.
@@ -472,9 +550,162 @@ const ALL_KINDS: [AttrKind; 22] = [
 ];
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use wb_corpus::DatasetConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use wb_corpus::{generate_site, DatasetConfig, PageConfig, SiteScenario, SiteSpecConfig};
+
+    /// The long crawl page of the benchmark's sites: 8 informative, 6
+    /// noise and 6 filler sections, four chunks at the scaled shape.
+    pub(crate) fn long_page() -> PageConfig {
+        PageConfig {
+            informative_sections: 8,
+            noise_sections: 6,
+            filler_sentences: 6,
+            ..PageConfig::default()
+        }
+    }
+
+    /// The first window of `stream` starting at or after `from` whose
+    /// detokenized text is `value`, as [`WordPiece::decode_ids`] joins it.
+    fn window_at(stream: &[String], from: usize, value: &str) -> Option<usize> {
+        (from..stream.len()).find(|&i| {
+            let mut text = String::new();
+            for (k, piece) in stream[i..].iter().enumerate() {
+                match piece.strip_prefix("##") {
+                    Some(rest) if k > 0 => text.push_str(rest),
+                    _ if k > 0 => {
+                        text.push(' ');
+                        text.push_str(piece);
+                    }
+                    _ => text.push_str(piece),
+                }
+                if text == value {
+                    return true;
+                }
+                if !value.starts_with(&text) {
+                    return false;
+                }
+            }
+            false
+        })
+    }
+
+    /// Assembly properties that hold for any weights — here an untrained
+    /// model's, whose tags and flags are arbitrary — over every hostility
+    /// scenario built from long pages, briefed as one batch so that chunks
+    /// of different pages finish in any order:
+    ///
+    /// * every informative-sentence index is below the page's sentence
+    ///   count, and the indices strictly increase;
+    /// * the attributes, in order, are successive runs of the page's
+    ///   normalized visible text as the model reads it (its WordPiece
+    ///   tokens, a `[CLS]` before each sentence), and so is the category;
+    /// * each page's brief equals [`Briefer::brief_html`] of that page.
+    #[test]
+    fn assembled_briefs_stay_inside_their_page() {
+        let d = Dataset::generate(&DatasetConfig::tiny());
+        let cfg = ModelConfig::scaled(d.tokenizer.vocab().len());
+        let briefer = Briefer::from_model(
+            JointModel::new(JointVariant::JointWb, cfg, 11),
+            d.tokenizer.clone(),
+        );
+        let tax = wb_corpus::Taxonomy::build(0, 2);
+        let mut rng = StdRng::seed_from_u64(5);
+        let pages: Vec<String> = [
+            SiteScenario::Clean,
+            SiteScenario::Malformed,
+            SiteScenario::Boilerplate,
+            SiteScenario::NearDup,
+            SiteScenario::Mixed,
+        ]
+        .into_iter()
+        .flat_map(|scenario| {
+            let site = SiteSpecConfig { pages: 6, scenario, page: long_page() };
+            generate_site(&tax.topics()[1], site, &mut rng).files.into_iter().map(|f| f.html)
+        })
+        .collect();
+        let vocab = d.tokenizer.vocab();
+        let (mut multi_chunk, mut attributes) = (0, 0);
+        let batch = briefer.brief_batch(&pages, |html| briefer.prepare_html(html));
+        for (html, brief) in pages.iter().zip(batch) {
+            let direct = briefer.brief_html(html);
+            let brief = match (brief, direct) {
+                (Ok(brief), Ok(direct)) => {
+                    assert_eq!(brief, direct);
+                    brief
+                }
+                (Err(e), Err(direct)) => {
+                    assert_eq!(e.to_string(), direct.to_string());
+                    continue;
+                }
+                (got, direct) => panic!("batch gave {got:?}, brief_html {direct:?}"),
+            };
+            let dom = parse_document(html).unwrap();
+            multi_chunk += usize::from(briefer.prepare(&dom).unwrap().len() > 1);
+            let sentences = split_sentences(&wb_html::visible_text(&dom));
+            let flags = &brief.informative_sentences;
+            assert!(flags.windows(2).all(|w| w[0] < w[1]), "{flags:?}");
+            assert!(
+                flags.iter().all(|&i| i < sentences.len()),
+                "{flags:?} of {}",
+                sentences.len()
+            );
+            let stream: Vec<String> = sentences
+                .iter()
+                .flat_map(|s| {
+                    vocab.decode(&[CLS]).into_iter().chain(vocab.decode(&d.tokenizer.encode(s)))
+                })
+                .collect();
+            let mut from = 0;
+            for a in &brief.attributes {
+                let at = window_at(&stream, from, &a.value);
+                from = 1 + at
+                    .unwrap_or_else(|| panic!("{:?} is not a later run of the page", a.value));
+                attributes += 1;
+            }
+            if let Some(category) = &brief.category {
+                assert!(window_at(&stream, 0, category).is_some(), "category {category:?}");
+            }
+        }
+        assert!(multi_chunk >= 10, "only {multi_chunk} multi-chunk pages");
+        assert!(attributes > 0, "no attributes to check");
+    }
+
+    /// A chunk whose inference panics fails its own page alone, with the
+    /// error its page gets when briefed by itself; the pages after it in
+    /// the batch still get their own chunks.
+    #[test]
+    fn a_panicking_chunk_fails_only_its_page() {
+        let d = Dataset::generate(&DatasetConfig::tiny());
+        let cfg = ModelConfig::scaled(d.tokenizer.vocab().len());
+        let briefer = Briefer::from_model(
+            JointModel::new(JointVariant::JointWb, cfg, 3),
+            d.tokenizer.clone(),
+        );
+        let tax = wb_corpus::Taxonomy::build(0, 2);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut pages: Vec<Vec<Example>> = (0..3)
+            .map(|i| {
+                let html = wb_corpus::generate_page(&tax.topics()[i], long_page(), &mut rng);
+                briefer.prepare_html(&html.dom.to_html()).unwrap()
+            })
+            .collect();
+        assert!(pages.iter().all(|p| p.len() >= 2), "long pages are multi-chunk");
+        // An id past the vocabulary makes the embedding lookup panic.
+        pages[1][1].tokens[1] = u32::MAX;
+        let batch = briefer.brief_batch(&pages, Ok);
+        let alone: Vec<_> = pages.iter().map(|p| briefer.brief_chunks(p)).collect();
+        assert!(matches!(batch[1], Err(BriefError::Panicked(_))), "{:?}", batch[1]);
+        assert_eq!(
+            batch[1].as_ref().unwrap_err().to_string(),
+            alone[1].as_ref().unwrap_err().to_string()
+        );
+        for i in [0, 2] {
+            assert_eq!(batch[i].as_ref().unwrap(), alone[i].as_ref().unwrap());
+        }
+    }
 
     #[test]
     fn encode_text_structure() {

@@ -422,6 +422,8 @@ mod tests {
 
     #[test]
     fn dual_distill_loss_is_finite_and_trains() {
+        // Training passes the `train.step` fault point.
+        let _chaos = wb_chaos::test_lock();
         let d = tiny();
         let cfg = ModelConfig::scaled(d.tokenizer.vocab().len());
         let teacher = Generator::new(EmbedderKind::Static, false, cfg, 0);

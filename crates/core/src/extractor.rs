@@ -197,6 +197,8 @@ mod tests {
     /// reasonable F1 on held-out pages of the same topics.
     #[test]
     fn extractor_learns_attribute_cues() {
+        // Training passes the `train.step` fault point.
+        let _chaos = wb_chaos::test_lock();
         let d = tiny_dataset();
         let split = d.split(3);
         let mut e = Extractor::new(

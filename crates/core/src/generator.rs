@@ -179,6 +179,8 @@ mod tests {
     /// The generator must learn to emit topic phrases for seen topics.
     #[test]
     fn generator_learns_seen_topics() {
+        // Training passes the `train.step` fault point.
+        let _chaos = wb_chaos::test_lock();
         let d = tiny_dataset();
         let split = d.split(3);
         let mut m = Generator::new(

@@ -621,6 +621,8 @@ mod tests {
 
     #[test]
     fn every_variant_trains_one_step_without_panic() {
+        // Training passes the `train.step` fault point.
+        let _chaos = wb_chaos::test_lock();
         let d = tiny();
         let cfg = ModelConfig::scaled(d.tokenizer.vocab().len());
         for v in ALL {

@@ -337,6 +337,8 @@ mod tests {
 
     #[test]
     fn trains_without_panicking_and_loss_decreases() {
+        // Training passes the `train.step` fault point.
+        let _chaos = wb_chaos::test_lock();
         let d = tiny();
         let cfg = ModelConfig::scaled(d.tokenizer.vocab().len());
         let mut m = MultiLevelWb::new(cfg, 1);

@@ -2,10 +2,10 @@
 //! → JSONL sink, as four stages joined by *bounded* queues.
 //!
 //! The chunk and brief stages are [`Briefer::brief_html`] split in two:
-//! the chunker calls [`Briefer::prepare`] and the briefer stage calls
-//! [`Briefer::brief_chunks`] through [`Briefer::brief_batch`]. So a page's
-//! brief, and the dead-letter reason of a page that cannot brief, are the
-//! same as `wb brief` and `wb serve` give for it.
+//! the chunker calls [`Briefer::prepare`] and the briefer stage hands a
+//! batch of chunked pages to [`Briefer::brief_batch`]. So a page's brief,
+//! and the dead-letter reason of a page that cannot brief, are the same as
+//! `wb brief` and `wb serve` give for it.
 //!
 //! Design invariants:
 //!
@@ -28,10 +28,10 @@
 //!   killed run resumes from the snapshot, replays the journalled tail
 //!   without re-briefing it, truncates any un-journalled bytes, and
 //!   produces byte-identical output to an uninterrupted run.
-//! * **Determinism.** All stages are single-threaded FIFO (briefing fans a
-//!   batch over rayon but re-emits in order), so page sequence numbers,
-//!   journal entries and output bytes are a pure function of the site and
-//!   the model.
+//! * **Determinism.** All stages are single-threaded FIFO (briefing fans
+//!   every chunk of a batch's pages over rayon in one fan-out but re-emits
+//!   the pages in order), so page sequence numbers, journal entries and
+//!   output bytes are a pure function of the site and the model.
 //!
 //! Chaos sites: `pipeline.fetch`, `pipeline.parse`, `pipeline.chunk`,
 //! `pipeline.brief`, `pipeline.sink.write`, `pipeline.journal.write`,
@@ -72,7 +72,7 @@ pub struct PipelineConfig {
     pub snapshot_every: usize,
     /// Capacity of each inter-stage queue.
     pub queue_depth: usize,
-    /// Pages briefed together in one rayon batch.
+    /// Pages briefed together: their chunks share one rayon fan-out.
     pub batch: usize,
     /// Stop after this many sequenced (briefed + quarantined) pages.
     pub max_pages: usize,
@@ -538,9 +538,11 @@ fn run_chunker(
 // ---------------------------------------------------------------------------
 
 /// Batches consecutive chunked pages, briefs each batch with
-/// [`Briefer::brief_batch`] (a panicking page is quarantined alone), and
-/// re-emits strictly in sequence order. Any non-batch message flushes the
-/// pending batch first so FIFO order is preserved end to end.
+/// [`Briefer::brief_batch`] — one fan-out over all the batch's chunks,
+/// with the `pipeline.brief` fault point passed once per page in sequence
+/// order; a panicking page is quarantined alone — and re-emits strictly in
+/// sequence order. Any non-batch message flushes the pending batch first
+/// so FIFO order is preserved end to end.
 fn run_briefer(
     briefer: &Briefer,
     batch_size: usize,
@@ -559,7 +561,7 @@ fn run_briefer(
             if wb_chaos::fault_point!("pipeline.brief").is_some() {
                 panic!("injected fault at pipeline.brief");
             }
-            Ok(briefer.brief_chunks(chunks))
+            Ok(chunks)
         });
         for ((seq, url, _, bytes), r) in batch.drain(..).zip(results) {
             let msg = match r {
@@ -899,12 +901,13 @@ pub fn crawl_brief(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::briefer::tests::long_page;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
     use wb_corpus::{
-        export_site, generate_site, Dataset, DatasetConfig, SiteScenario, SiteSpecConfig,
-        Taxonomy,
+        export_site, generate_site, Dataset, DatasetConfig, PageConfig, SiteScenario,
+        SiteSpecConfig, Taxonomy,
     };
 
     fn test_briefer() -> Briefer {
@@ -917,11 +920,39 @@ mod tests {
     }
 
     fn site_in(dir: &Path, scenario: SiteScenario, pages: usize, seed: u64) {
+        site_of(dir, SiteSpecConfig { pages, scenario, ..Default::default() }, seed);
+    }
+
+    fn site_of(dir: &Path, cfg: SiteSpecConfig, seed: u64) {
         let tax = Taxonomy::build(0, 2);
         let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = SiteSpecConfig { pages, scenario, ..Default::default() };
         let site = generate_site(&tax.topics()[1], cfg, &mut rng);
         export_site(dir, &site).unwrap();
+    }
+
+    /// The pages, by sequence number, that `run_briefer` batched together
+    /// in a run that quarantined nothing at the brief stage: consecutive
+    /// pages that reached it, at most `cfg.batch` at a time, a batch cut
+    /// short by each dead letter and each crawl snapshot.
+    fn batches(
+        cfg: &PipelineConfig,
+        briefed: &HashSet<usize>,
+        sequenced: usize,
+    ) -> Vec<Vec<usize>> {
+        let mut batches = vec![Vec::new()];
+        for seq in 0..sequenced {
+            let cut = !briefed.contains(&seq);
+            if !cut {
+                batches.last_mut().unwrap().push(seq);
+            }
+            let full = batches.last().unwrap().len() == cfg.batch;
+            let snapshot = cfg.snapshot_every > 0 && (seq + 1) % cfg.snapshot_every == 0;
+            if cut || full || snapshot {
+                batches.push(Vec::new());
+            }
+        }
+        batches.retain(|b| !b.is_empty());
+        batches
     }
 
     fn cfg_in(dir: &Path) -> PipelineConfig {
@@ -1082,11 +1113,14 @@ mod tests {
     fn crawl_briefs_and_dead_letters_match_brief_html() {
         let _chaos = wb_chaos::test_lock();
         let briefer = test_briefer();
-        for (name, scenario) in
-            [("malformed", SiteScenario::Malformed), ("mixed", SiteScenario::Mixed)]
-        {
+        for (name, scenario, long) in [
+            ("malformed", SiteScenario::Malformed, false),
+            ("mixed", SiteScenario::Mixed, false),
+            ("mixed_long", SiteScenario::Mixed, true),
+        ] {
             let dir = fresh_dir(&format!("wb_pipeline_cross_{name}"));
-            site_in(&dir.join("site"), scenario, 24, 11);
+            let page = if long { long_page() } else { PageConfig::default() };
+            site_of(&dir.join("site"), SiteSpecConfig { pages: 24, scenario, page }, 11);
             let cfg = cfg_in(&dir);
             crawl_brief(&briefer, &cfg).unwrap();
             let direct = |url: &str| {
@@ -1107,6 +1141,26 @@ mod tests {
             for line in &dead {
                 let err = direct(&line.url).unwrap_err().to_string();
                 assert_eq!(line.reason, err, "{name}: {}", line.url);
+            }
+            if long {
+                // The chunk fan-out spans pages: some batch holds several
+                // pages of several chunks each.
+                let chunks: HashMap<usize, usize> = briefs
+                    .iter()
+                    .map(|l| {
+                        let html =
+                            std::fs::read_to_string(cfg.site_dir.join(url_to_path(&l.url)));
+                        (l.seq, briefer.prepare_html(&html.unwrap()).unwrap().len())
+                    })
+                    .collect();
+                let briefed = chunks.keys().copied().collect();
+                let batches = batches(&cfg, &briefed, briefs.len() + dead.len());
+                assert!(
+                    batches
+                        .iter()
+                        .any(|b| b.len() >= 2 && b.iter().all(|seq| chunks[seq] >= 2)),
+                    "{name}: no batch of multi-chunk pages in {batches:?} ({chunks:?})"
+                );
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -1141,6 +1195,55 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&ref_dir);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A page that panics inside a batch of multi-chunk pages, whose
+    /// chunks share one fan-out, is quarantined alone: the fault fires on
+    /// the second page to reach the briefer, and every other page briefs
+    /// as in an unfaulted run.
+    #[test]
+    fn a_panicking_page_in_a_chunk_fan_out_quarantines_only_that_page() {
+        let _chaos = wb_chaos::test_lock();
+        let briefer = test_briefer();
+        let run = |name: &str, faults: Option<&str>| {
+            let dir = fresh_dir(name);
+            let site =
+                SiteSpecConfig { pages: 6, scenario: SiteScenario::Clean, page: long_page() };
+            site_of(&dir.join("site"), site, 7);
+            let mut cfg = cfg_in(&dir);
+            cfg.batch = 4;
+            cfg.snapshot_every = 0;
+            if let Some(spec) = faults {
+                wb_chaos::arm_str(spec).unwrap();
+            }
+            let report = crawl_brief(&briefer, &cfg);
+            wb_chaos::disarm();
+            report.unwrap();
+            let chunks: Vec<usize> = (0..6)
+                .map(|i| {
+                    let html = std::fs::read_to_string(dir.join(format!("site/page/{i}.html")));
+                    briefer.prepare_html(&html.unwrap()).unwrap().len()
+                })
+                .collect();
+            let out =
+                (jsonl::<OutLine>(&cfg.out_path), jsonl::<DeadLine>(&cfg.dead_letter_path));
+            let _ = std::fs::remove_dir_all(&dir);
+            (out, chunks)
+        };
+        let ((reference, none), chunks) = run("wb_pipeline_fanout_panic_ref", None);
+        assert!(none.is_empty(), "{none:?}");
+        assert_eq!(reference.len(), 6);
+        assert!(chunks.iter().all(|&n| n >= 2), "every page is multi-chunk: {chunks:?}");
+        let ((briefs, dead), _) =
+            run("wb_pipeline_fanout_panic", Some("pipeline.brief=panic@nth(2)"));
+        assert_eq!(dead.len(), 1, "{dead:?}");
+        assert_eq!((dead[0].seq, &dead[0].url), (reference[1].seq, &reference[1].url));
+        assert!(dead[0].reason.starts_with("panic while briefing:"), "{dead:?}");
+        let expected: Vec<_> = reference.iter().filter(|l| l.seq != dead[0].seq).collect();
+        assert_eq!(briefs.len(), expected.len());
+        for (got, want) in briefs.iter().zip(expected) {
+            assert_eq!((got.seq, &got.url, &got.brief), (want.seq, &want.url, &want.brief));
+        }
     }
 
     #[test]

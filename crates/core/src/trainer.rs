@@ -378,6 +378,9 @@ fn validate_state(
     }
 }
 
+/// Every test that trains passes the process-global `train.step` fault
+/// point, so it holds `wb_chaos::test_lock()`: a fault another test arms
+/// would otherwise fire inside it.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,6 +424,7 @@ mod tests {
 
     #[test]
     fn trainer_reduces_loss() {
+        let _chaos = wb_chaos::test_lock();
         let mut rng = StdRng::seed_from_u64(0);
         let mut params = Params::new();
         let w = params.add_init("w", &[], Initializer::Uniform(0.01), &mut rng);
@@ -453,6 +457,7 @@ mod tests {
 
     #[test]
     fn training_populates_the_metrics_registry() {
+        let _chaos = wb_chaos::test_lock();
         let mut rng = StdRng::seed_from_u64(3);
         let mut params = Params::new();
         let w = params.add_init("w", &[], Initializer::Uniform(0.5), &mut rng);
@@ -471,6 +476,7 @@ mod tests {
 
     #[test]
     fn trainer_is_deterministic() {
+        let _chaos = wb_chaos::test_lock();
         let build = || {
             let mut rng = StdRng::seed_from_u64(1);
             let mut params = Params::new();
@@ -495,6 +501,7 @@ mod tests {
     /// run's parameters exactly — the heart of crash-safe training.
     #[test]
     fn resume_from_mid_epoch_state_is_byte_identical() {
+        let _chaos = wb_chaos::test_lock();
         let examples = dummy_examples(7);
         let idx: Vec<usize> = (0..examples.len()).collect();
         let mut cfg = TrainConfig::scaled(4);
@@ -510,16 +517,12 @@ mod tests {
 
         // First leg: crash (simulated by arming a panic on the 6th batch).
         let mut crashed = toy(9);
-        {
-            let _guard = wb_chaos::test_lock();
-            wb_chaos::arm_str("train.step=panic@nth(6)").unwrap();
-            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ =
-                    train_resumable(&mut crashed, &examples, &idx, cfg, Some(&policy), None);
-            }));
-            wb_chaos::disarm();
-            assert!(died.is_err(), "armed panic must kill the first leg");
-        }
+        wb_chaos::arm_str("train.step=panic@nth(6)").unwrap();
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = train_resumable(&mut crashed, &examples, &idx, cfg, Some(&policy), None);
+        }));
+        wb_chaos::disarm();
+        assert!(died.is_err(), "armed panic must kill the first leg");
 
         // Second leg: resume from the state file written before the kill,
         // round-tripped through disk like a real restart.

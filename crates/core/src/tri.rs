@@ -260,6 +260,8 @@ mod tests {
 
     #[test]
     fn tri_distill_trains_and_loss_is_finite() {
+        // Training passes the `train.step` fault point.
+        let _chaos = wb_chaos::test_lock();
         let d = tiny();
         let cfg = ModelConfig::scaled(d.tokenizer.vocab().len());
         let teacher = JointModel::new(JointVariant::NaiveJoin, cfg, 0);

@@ -232,18 +232,21 @@ fn run_executor(
         let Some(first) = jobs.first() else { continue };
         wb_obs::counter!("serve.batch.pages");
         let html = String::from_utf8_lossy(&first.body);
-        let result = briefer
-            .brief_batch(&[&*html], |html| {
-                if wb_chaos::fault_point!("serve.worker.pre_model").is_some() {
-                    // An injected `error`/`nan` at this point stands in
-                    // for any pre-model failure; it must look like a
-                    // model panic to the page (and hence to the breaker).
-                    panic!("injected fault: serve.worker.pre_model");
-                }
-                briefer.brief_html(html)
-            })
-            .pop()
-            .expect("one result per page");
+        let result = {
+            let _page = wb_obs::span!("brief.page");
+            briefer
+                .brief_batch(&[&*html], |html| {
+                    if wb_chaos::fault_point!("serve.worker.pre_model").is_some() {
+                        // An injected `error`/`nan` at this point stands in
+                        // for any pre-model failure; it must look like a
+                        // model panic to the page (and hence to the breaker).
+                        panic!("injected fault: serve.worker.pre_model");
+                    }
+                    briefer.prepare_html(html)
+                })
+                .pop()
+                .expect("one result per page")
+        };
         let model_us = micros_since(drained);
         if matches!(result, Err(BriefError::Panicked(_))) {
             replica.breaker.record_failure();
