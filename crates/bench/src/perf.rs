@@ -23,16 +23,17 @@
 //! rayon pool with >1 thread — comparing a `RAYON_NUM_THREADS=1` run
 //! against a multicore baseline legitimately hard-fails.
 //!
-//! The report format is the dependency-free [`wb_obs::json::Json`] value
-//! (sorted keys, shortest round-tripping floats), so files render
-//! deterministically and parse back exactly.
+//! Reports are JSON written and read by the vendored `serde_json`: the
+//! report types derive the codec with their fields declared in key order,
+//! so files keep sorted keys, render deterministically and parse back
+//! exactly.
 
 use crate::Scale;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Instant;
 use wb_core::{Briefer, ModelConfig, TrainConfig};
 use wb_corpus::{generate_page, Dataset, DatasetConfig, PageConfig};
-use wb_obs::json::Json;
 use wb_obs::metrics::{registry, snapshot, HistogramSnapshot, Snapshot};
 use wb_tensor::{Graph, Params, Tensor};
 
@@ -155,16 +156,18 @@ struct TierSpec {
     brief_pages: usize,
 }
 
-/// One measured quantity of a workload.
-#[derive(Debug, Clone, PartialEq)]
+/// One measured quantity of a workload. The report types declare their
+/// fields in JSON key order: the derived codec writes them in declaration
+/// order, and reports keep their keys sorted.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Metric {
-    /// The measured value.
-    pub value: f64,
-    /// Unit label (`MFLOP/s`, `us`, `bytes`, …) for rendering.
-    pub unit: String,
     /// Deterministic metric: [`compare`] fails (rather than warns) when it
     /// differs from the baseline.
     pub hard: bool,
+    /// Unit label (`MFLOP/s`, `us`, `bytes`, …) for rendering.
+    pub unit: String,
+    /// The measured value.
+    pub value: f64,
 }
 
 impl Metric {
@@ -174,25 +177,25 @@ impl Metric {
 }
 
 /// All metrics of one workload.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadResult {
-    /// Timed repeats (after warmup).
-    pub repeats: usize,
     /// Metrics by name.
     pub metrics: BTreeMap<String, Metric>,
+    /// Timed repeats (after warmup).
+    pub repeats: usize,
 }
 
 /// A full benchmark report (`BENCH_<label>.json`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchReport {
-    /// Format tag ([`SCHEMA`]).
-    pub schema: String,
-    /// Run label (`baseline`, `ci`, a commit hash, …).
-    pub label: String,
-    /// Size tier the run used.
-    pub tier: String,
     /// Environment fingerprint (thread count, OS, arch, build profile…).
     pub env: BTreeMap<String, String>,
+    /// Run label (`baseline`, `ci`, a commit hash, …).
+    pub label: String,
+    /// Format tag ([`SCHEMA`]).
+    pub schema: String,
+    /// Size tier the run used.
+    pub tier: String,
     /// Workload results by name.
     pub workloads: BTreeMap<String, WorkloadResult>,
 }
@@ -643,103 +646,25 @@ pub fn env_fingerprint() -> BTreeMap<String, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence (wb-obs JSON: deterministic, dependency-free)
+// Persistence
 // ---------------------------------------------------------------------------
 
 impl BenchReport {
     /// Renders the report as deterministic JSON.
     pub fn to_json(&self) -> String {
-        let mut root = BTreeMap::new();
-        root.insert("schema".into(), Json::Str(self.schema.clone()));
-        root.insert("label".into(), Json::Str(self.label.clone()));
-        root.insert("tier".into(), Json::Str(self.tier.clone()));
-        root.insert(
-            "env".into(),
-            Json::Obj(
-                self.env.iter().map(|(k, v)| (k.clone(), Json::Str(v.clone()))).collect(),
-            ),
-        );
-        let workloads = self
-            .workloads
-            .iter()
-            .map(|(name, w)| {
-                let metrics = w
-                    .metrics
-                    .iter()
-                    .map(|(k, m)| {
-                        let mut obj = BTreeMap::new();
-                        obj.insert("value".into(), Json::Num(m.value));
-                        obj.insert("unit".into(), Json::Str(m.unit.clone()));
-                        obj.insert("hard".into(), Json::Bool(m.hard));
-                        (k.clone(), Json::Obj(obj))
-                    })
-                    .collect();
-                let mut obj = BTreeMap::new();
-                obj.insert("repeats".into(), Json::Num(w.repeats as f64));
-                obj.insert("metrics".into(), Json::Obj(metrics));
-                (name.clone(), Json::Obj(obj))
-            })
-            .collect();
-        root.insert("workloads".into(), Json::Obj(workloads));
-        Json::Obj(root).render()
+        serde_json::to_string(self).expect("a bench report serialises")
     }
 
     /// Parses a report written by [`BenchReport::to_json`].
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let v = Json::parse(text)?;
-        let str_field = |key: &str| -> Result<String, String> {
-            match v.get(key) {
-                Some(Json::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("missing string field `{key}`")),
-            }
-        };
-        let schema = str_field("schema")?;
-        if schema != SCHEMA {
-            return Err(format!("unsupported bench schema `{schema}` (expected {SCHEMA})"));
+        let report: BenchReport = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        if report.schema != SCHEMA {
+            return Err(format!(
+                "unsupported bench schema `{}` (expected {SCHEMA})",
+                report.schema
+            ));
         }
-        let mut env = BTreeMap::new();
-        if let Some(Json::Obj(map)) = v.get("env") {
-            for (k, val) in map {
-                if let Json::Str(s) = val {
-                    env.insert(k.clone(), s.clone());
-                }
-            }
-        }
-        let mut workloads = BTreeMap::new();
-        let Some(Json::Obj(wls)) = v.get("workloads") else {
-            return Err("missing `workloads` object".into());
-        };
-        for (name, w) in wls {
-            let repeats = w
-                .get("repeats")
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("workload `{name}` missing repeats"))?
-                as usize;
-            let mut metrics = BTreeMap::new();
-            let Some(Json::Obj(ms)) = w.get("metrics") else {
-                return Err(format!("workload `{name}` missing metrics"));
-            };
-            for (k, m) in ms {
-                let value = m
-                    .get("value")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("metric `{name}/{k}` missing value"))?;
-                let unit = match m.get("unit") {
-                    Some(Json::Str(s)) => s.clone(),
-                    _ => String::new(),
-                };
-                let hard = matches!(m.get("hard"), Some(Json::Bool(true)));
-                metrics.insert(k.clone(), Metric { value, unit, hard });
-            }
-            workloads.insert(name.clone(), WorkloadResult { repeats, metrics });
-        }
-        Ok(BenchReport {
-            schema,
-            label: str_field("label")?,
-            tier: str_field("tier")?,
-            env,
-            workloads,
-        })
+        Ok(report)
     }
 
     /// Writes the report to `path`.

@@ -1,11 +1,10 @@
 #![warn(missing_docs)]
 //! # wb-obs
 //!
-//! Dependency-free observability for the Webpage Briefing workspace:
-//! structured leveled logging, a global metrics registry and RAII span
-//! timers. Every other crate may depend on this one, so it is std-only
-//! (hand-rolled like the vendor stand-ins — the build environment has no
-//! registry access).
+//! Observability for the Webpage Briefing workspace: structured leveled
+//! logging, a global metrics registry and RAII span timers. Every other
+//! crate may depend on this one; it depends only on std and the vendored
+//! `serde`/`serde_json`, which write and read its snapshots and traces.
 //!
 //! ## Logging
 //!
@@ -77,7 +76,6 @@
 
 pub mod alloc;
 pub mod flame;
-pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod procstat;

@@ -10,7 +10,7 @@
 //! `sum` is a CAS loop whose float addition order depends on thread
 //! interleaving (documented tolerance: metrics, not math).
 
-use crate::json::Json;
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -407,13 +407,10 @@ pub struct SpanSnapshot {
 }
 
 /// Everything in the registry at one moment, with deterministic ordering.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Fields are declared in JSON key order: the derived serialiser writes
+/// them in declaration order, and snapshots keep their keys sorted.
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct Snapshot {
-    /// Milliseconds since the process observability epoch (see
-    /// [`crate::window::epoch`]) at the moment the snapshot was taken.
-    /// `wb report --diff` divides counter deltas by the uptime delta to
-    /// derive rates. Zero in snapshots written before this field existed.
-    pub uptime_ms: f64,
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
@@ -422,6 +419,11 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Span aggregates by `/`-joined nesting path.
     pub spans: BTreeMap<String, SpanSnapshot>,
+    /// Milliseconds since the process observability epoch (see
+    /// [`crate::window::epoch`]) at the moment the snapshot was taken.
+    /// `wb report --diff` divides counter deltas by the uptime delta to
+    /// derive rates. Zero in snapshots written before this field existed.
+    pub uptime_ms: f64,
 }
 
 /// Freezes the global registry.
@@ -463,151 +465,119 @@ pub fn snapshot() -> Snapshot {
     s
 }
 
+impl Serialize for HistogramSnapshot {
+    fn to_value(&self) -> Value {
+        let buckets: Vec<BTreeMap<String, f64>> = self
+            .buckets
+            .iter()
+            .map(|&(le, n)| BTreeMap::from([("count".into(), n as f64), ("le".into(), le)]))
+            .collect();
+        let mut o = BTreeMap::from([
+            ("buckets".to_string(), buckets.to_value()),
+            ("count".to_string(), self.count.to_value()),
+            ("sum".to_string(), self.sum.to_value()),
+        ]);
+        if let Some(m) = self.min {
+            o.insert("min".to_string(), m.to_value());
+        }
+        if let Some(m) = self.max {
+            o.insert("max".to_string(), m.to_value());
+        }
+        o.to_value()
+    }
+}
+
+impl Serialize for SpanSnapshot {
+    fn to_value(&self) -> Value {
+        let mut o = BTreeMap::from([
+            ("count".to_string(), self.count),
+            ("self_ns".to_string(), self.self_ns),
+            ("total_ns".to_string(), self.total_ns),
+        ]);
+        // Allocation attribution is opt-in; omit the fields when empty so
+        // snapshots stay byte-identical with it off.
+        if self.alloc_count > 0 || self.alloc_bytes > 0 {
+            o.insert("alloc_bytes".to_string(), self.alloc_bytes);
+            o.insert("alloc_count".to_string(), self.alloc_count);
+        }
+        o.to_value()
+    }
+}
+
 impl Snapshot {
     /// Serialises the snapshot as deterministic JSON (sorted keys, shortest
     /// round-tripping float representation).
     pub fn to_json(&self) -> String {
-        self.to_value().render()
-    }
-
-    fn to_value(&self) -> Json {
-        let mut root = BTreeMap::new();
-        root.insert("uptime_ms".to_string(), Json::Num(self.uptime_ms));
-        root.insert(
-            "counters".to_string(),
-            Json::Obj(
-                self.counters.iter().map(|(k, &v)| (k.clone(), Json::Num(v as f64))).collect(),
-            ),
-        );
-        root.insert(
-            "gauges".to_string(),
-            Json::Obj(self.gauges.iter().map(|(k, &v)| (k.clone(), Json::Num(v))).collect()),
-        );
-        let hists = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let mut o = BTreeMap::new();
-                o.insert("count".to_string(), Json::Num(h.count as f64));
-                o.insert("sum".to_string(), Json::Num(h.sum));
-                if let Some(m) = h.min {
-                    o.insert("min".to_string(), Json::Num(m));
-                }
-                if let Some(m) = h.max {
-                    o.insert("max".to_string(), Json::Num(m));
-                }
-                o.insert(
-                    "buckets".to_string(),
-                    Json::Arr(
-                        h.buckets
-                            .iter()
-                            .map(|&(le, n)| {
-                                let mut b = BTreeMap::new();
-                                b.insert("le".to_string(), Json::Num(le));
-                                b.insert("count".to_string(), Json::Num(n as f64));
-                                Json::Obj(b)
-                            })
-                            .collect(),
-                    ),
-                );
-                (k.clone(), Json::Obj(o))
-            })
-            .collect();
-        root.insert("histograms".to_string(), Json::Obj(hists));
-        let spans = self
-            .spans
-            .iter()
-            .map(|(k, sp)| {
-                let mut o = BTreeMap::new();
-                o.insert("count".to_string(), Json::Num(sp.count as f64));
-                o.insert("total_ns".to_string(), Json::Num(sp.total_ns as f64));
-                o.insert("self_ns".to_string(), Json::Num(sp.self_ns as f64));
-                // Allocation attribution is opt-in; omit the fields when
-                // empty so snapshots stay byte-identical with it off.
-                if sp.alloc_count > 0 || sp.alloc_bytes > 0 {
-                    o.insert("alloc_bytes".to_string(), Json::Num(sp.alloc_bytes as f64));
-                    o.insert("alloc_count".to_string(), Json::Num(sp.alloc_count as f64));
-                }
-                (k.clone(), Json::Obj(o))
-            })
-            .collect();
-        root.insert("spans".to_string(), Json::Obj(spans));
-        Json::Obj(root)
+        serde_json::to_string(self).expect("a snapshot serialises")
     }
 
     /// Parses a snapshot previously produced by [`Snapshot::to_json`].
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let v = Json::parse(text)?;
+        let v: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        let entries = |key: &str| match v.get(key) {
+            Some(Value::Obj(entries)) => entries.as_slice(),
+            _ => &[],
+        };
         let mut s = Snapshot {
-            uptime_ms: v.get("uptime_ms").and_then(Json::as_num).unwrap_or(0.0),
+            uptime_ms: v.get("uptime_ms").and_then(Value::as_f64).unwrap_or(0.0),
             ..Snapshot::default()
         };
-        if let Some(obj) = v.get("counters").and_then(Json::as_obj) {
-            for (k, n) in obj {
-                let n = n.as_num().ok_or_else(|| format!("counter `{k}` is not a number"))?;
-                s.counters.insert(k.clone(), n as u64);
-            }
+        for (k, n) in entries("counters") {
+            let n = n.as_f64().ok_or_else(|| format!("counter `{k}` is not a number"))?;
+            s.counters.insert(k.clone(), n as u64);
         }
-        if let Some(obj) = v.get("gauges").and_then(Json::as_obj) {
-            for (k, n) in obj {
-                let n = n.as_num().ok_or_else(|| format!("gauge `{k}` is not a number"))?;
-                s.gauges.insert(k.clone(), n);
-            }
+        for (k, n) in entries("gauges") {
+            let n = n.as_f64().ok_or_else(|| format!("gauge `{k}` is not a number"))?;
+            s.gauges.insert(k.clone(), n);
         }
-        if let Some(obj) = v.get("histograms").and_then(Json::as_obj) {
-            for (k, h) in obj {
-                let num = |field: &str| {
-                    h.get(field)
-                        .and_then(Json::as_num)
-                        .ok_or_else(|| format!("histogram `{k}` missing `{field}`"))
-                };
-                let buckets = h
-                    .get("buckets")
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|b| {
-                        let le = b.get("le").and_then(Json::as_num);
-                        let n = b.get("count").and_then(Json::as_num);
-                        match (le, n) {
-                            (Some(le), Some(n)) => Ok((le, n as u64)),
-                            _ => Err(format!("histogram `{k}` has a malformed bucket")),
-                        }
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                s.histograms.insert(
-                    k.clone(),
-                    HistogramSnapshot {
-                        count: num("count")? as u64,
-                        sum: num("sum")?,
-                        min: h.get("min").and_then(Json::as_num),
-                        max: h.get("max").and_then(Json::as_num),
-                        buckets,
-                    },
-                );
-            }
+        for (k, h) in entries("histograms") {
+            let num = |field: &str| {
+                h.get(field)
+                    .and_then(Value::as_f64)
+                    .ok_or_else(|| format!("histogram `{k}` missing `{field}`"))
+            };
+            let buckets = h
+                .get("buckets")
+                .and_then(Value::as_array)
+                .map_or(&[][..], Vec::as_slice)
+                .iter()
+                .map(|b| {
+                    let le = b.get("le").and_then(Value::as_f64);
+                    let n = b.get("count").and_then(Value::as_f64);
+                    match (le, n) {
+                        (Some(le), Some(n)) => Ok((le, n as u64)),
+                        _ => Err(format!("histogram `{k}` has a malformed bucket")),
+                    }
+                })
+                .collect::<Result<Vec<_>, String>>()?;
+            s.histograms.insert(
+                k.clone(),
+                HistogramSnapshot {
+                    count: num("count")? as u64,
+                    sum: num("sum")?,
+                    min: h.get("min").and_then(Value::as_f64),
+                    max: h.get("max").and_then(Value::as_f64),
+                    buckets,
+                },
+            );
         }
-        if let Some(obj) = v.get("spans").and_then(Json::as_obj) {
-            for (k, sp) in obj {
-                let num = |field: &str| {
-                    sp.get(field)
-                        .and_then(Json::as_num)
-                        .ok_or_else(|| format!("span `{k}` missing `{field}`"))
-                };
-                let opt = |field: &str| {
-                    sp.get(field).and_then(Json::as_num).map(|n| n as u64).unwrap_or(0)
-                };
-                s.spans.insert(
-                    k.clone(),
-                    SpanSnapshot {
-                        count: num("count")? as u64,
-                        total_ns: num("total_ns")? as u64,
-                        self_ns: num("self_ns")? as u64,
-                        alloc_bytes: opt("alloc_bytes"),
-                        alloc_count: opt("alloc_count"),
-                    },
-                );
-            }
+        for (k, sp) in entries("spans") {
+            let num = |field: &str| {
+                sp.get(field)
+                    .and_then(Value::as_f64)
+                    .ok_or_else(|| format!("span `{k}` missing `{field}`"))
+            };
+            let opt = |field: &str| sp.get(field).and_then(Value::as_f64).unwrap_or(0.0) as u64;
+            s.spans.insert(
+                k.clone(),
+                SpanSnapshot {
+                    count: num("count")? as u64,
+                    total_ns: num("total_ns")? as u64,
+                    self_ns: num("self_ns")? as u64,
+                    alloc_bytes: opt("alloc_bytes"),
+                    alloc_count: opt("alloc_count"),
+                },
+            );
         }
         Ok(s)
     }
@@ -799,17 +769,5 @@ mod tests {
         let s = snapshot();
         assert!(s.counters.get("obs.alloc.bytes").copied().unwrap_or(0) >= 512);
         assert!(s.counters.get("obs.alloc.count").copied().unwrap_or(0) >= 2);
-    }
-
-    /// The hand-rolled writer must be real JSON — parse it with the
-    /// vendored serde_json, which `wb report` relies on for nothing but
-    /// whose parser is independent of ours.
-    #[test]
-    fn snapshot_json_is_valid_for_foreign_parsers() {
-        registry().counter("test.metrics.foreign").add(1);
-        let text = snapshot().to_json();
-        let v: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
-        assert!(v.get("counters").is_some());
-        assert!(v.get("histograms").is_some());
     }
 }

@@ -25,16 +25,16 @@
 //! ## Export
 //!
 //! [`export_chrome`] serialises everything recorded so far as a Chrome
-//! trace format JSON object (`{"traceEvents": [...]}`) via the
-//! dependency-free [`crate::json`] writer; [`write_chrome`] puts it in a
-//! file. The `wb` CLI exposes this as the global `--trace-out FILE`
-//! option.
+//! trace format JSON object (`{"traceEvents": [...]}`); [`write_chrome`]
+//! puts it in a file. The `wb` CLI exposes this as the global
+//! `--trace-out FILE` option.
 //!
 //! Like the rest of `wb-obs`, tracing reads the clock and bumps memory —
 //! it can never perturb model math, RNG draws or reduction order, so a
 //! traced run's output is byte-identical to an untraced one.
 
-use crate::json::Json;
+use crate::window::epoch;
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -56,7 +56,8 @@ enum Kind {
 /// are string literals at their call sites), so recording never allocates.
 #[derive(Debug, Clone, Copy)]
 struct Event {
-    /// Nanoseconds since the trace epoch.
+    /// Nanoseconds since the observability epoch ([`epoch`]), the
+    /// timebase of snapshot uptimes too.
     ts_ns: u64,
     /// Span duration in nanoseconds (0 for counter samples).
     dur_ns: u64,
@@ -111,14 +112,6 @@ fn buffers() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
     BUFFERS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// The instant all timestamps are measured from. Set once, at the first
-/// [`start`]; later trace sessions keep the same epoch (timestamps stay
-/// monotonic across sessions, which Chrome handles fine).
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
 thread_local! {
     static TL_BUF: Arc<ThreadBuf> = {
         let buf = Arc::new(ThreadBuf {
@@ -150,7 +143,6 @@ pub fn start() {
     if cfg!(feature = "off") {
         return;
     }
-    epoch(); // Pin the timebase before the first event.
     for buf in buffers().lock().unwrap().iter() {
         buf.ring.lock().unwrap().clear();
     }
@@ -239,35 +231,37 @@ pub fn summary() -> TraceSummary {
 /// by `chrome://tracing` and Perfetto.
 pub fn export_chrome() -> String {
     let (events, overwritten) = collect();
-    let mut trace_events = Vec::with_capacity(events.len());
-    for (tid, e) in &events {
-        let mut o = BTreeMap::new();
-        o.insert("name".to_string(), Json::Str(e.name.to_string()));
-        o.insert("cat".to_string(), Json::Str("wb".to_string()));
-        o.insert("pid".to_string(), Json::Num(1.0));
-        o.insert("tid".to_string(), Json::Num(*tid as f64));
-        o.insert("ts".to_string(), Json::Num(e.ts_ns as f64 / 1_000.0));
-        match e.kind {
-            Kind::Span => {
-                o.insert("ph".to_string(), Json::Str("X".to_string()));
-                o.insert("dur".to_string(), Json::Num(e.dur_ns as f64 / 1_000.0));
+    let trace_events: Vec<Value> = events
+        .iter()
+        .map(|&(tid, e)| {
+            let mut o = BTreeMap::from([
+                ("cat".to_string(), "wb".to_value()),
+                ("name".to_string(), e.name.to_value()),
+                ("pid".to_string(), Value::Num(1.0)),
+                ("tid".to_string(), tid.to_value()),
+                ("ts".to_string(), (e.ts_ns as f64 / 1_000.0).to_value()),
+            ]);
+            match e.kind {
+                Kind::Span => {
+                    o.insert("ph".to_string(), "X".to_value());
+                    o.insert("dur".to_string(), (e.dur_ns as f64 / 1_000.0).to_value());
+                }
+                Kind::Counter => {
+                    o.insert("ph".to_string(), "C".to_value());
+                    let args = BTreeMap::from([("value".to_string(), e.value)]);
+                    o.insert("args".to_string(), args.to_value());
+                }
             }
-            Kind::Counter => {
-                o.insert("ph".to_string(), Json::Str("C".to_string()));
-                let mut args = BTreeMap::new();
-                args.insert("value".to_string(), Json::Num(e.value));
-                o.insert("args".to_string(), Json::Obj(args));
-            }
-        }
-        trace_events.push(Json::Obj(o));
-    }
-    let mut other = BTreeMap::new();
-    other.insert("overwritten_events".to_string(), Json::Num(overwritten as f64));
-    let mut root = BTreeMap::new();
-    root.insert("traceEvents".to_string(), Json::Arr(trace_events));
-    root.insert("displayTimeUnit".to_string(), Json::Str("ms".to_string()));
-    root.insert("otherData".to_string(), Json::Obj(other));
-    Json::Obj(root).render()
+            Value::Obj(o.into_iter().collect())
+        })
+        .collect();
+    let other = BTreeMap::from([("overwritten_events".to_string(), overwritten)]);
+    let root = BTreeMap::from([
+        ("displayTimeUnit".to_string(), "ms".to_value()),
+        ("otherData".to_string(), other.to_value()),
+        ("traceEvents".to_string(), Value::Arr(trace_events)),
+    ]);
+    serde_json::to_string(&root).expect("a trace serialises")
 }
 
 /// Writes [`export_chrome`] output to `path`.
@@ -333,27 +327,23 @@ mod tests {
         sample("test.trace.export_counter", 42.0);
         stop();
         let text = export_chrome();
-        // Round-trips through our own parser…
-        let v = Json::parse(&text).expect("trace JSON parses");
-        let events = v.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
+        let v: Value = serde_json::from_str(&text).expect("trace JSON parses");
+        let events = v.get("traceEvents").and_then(Value::as_array).expect("traceEvents array");
         let mut saw_span = false;
         let mut saw_counter = false;
         for e in events {
-            let ph = match e.get("ph") {
-                Some(Json::Str(s)) => s.as_str(),
-                _ => panic!("event missing ph"),
-            };
-            assert!(e.get("ts").and_then(Json::as_num).is_some(), "event missing ts");
-            assert!(e.get("pid").and_then(Json::as_num).is_some(), "event missing pid");
-            assert!(e.get("tid").and_then(Json::as_num).is_some(), "event missing tid");
-            match (ph, e.get("name")) {
-                ("X", Some(Json::Str(n))) if n == "test.trace.export" => {
-                    assert!(e.get("dur").and_then(Json::as_num).unwrap() > 0.0);
+            let ph = e.get("ph").and_then(Value::as_str).expect("event missing ph");
+            assert!(e.get("ts").and_then(Value::as_f64).is_some(), "event missing ts");
+            assert!(e.get("pid").and_then(Value::as_f64).is_some(), "event missing pid");
+            assert!(e.get("tid").and_then(Value::as_f64).is_some(), "event missing tid");
+            match (ph, e.get("name").and_then(Value::as_str)) {
+                ("X", Some("test.trace.export")) => {
+                    assert!(e.get("dur").and_then(Value::as_f64).unwrap() > 0.0);
                     saw_span = true;
                 }
-                ("C", Some(Json::Str(n))) if n == "test.trace.export_counter" => {
+                ("C", Some("test.trace.export_counter")) => {
                     let args = e.get("args").expect("counter args");
-                    assert_eq!(args.get("value").and_then(Json::as_num), Some(42.0));
+                    assert_eq!(args.get("value").and_then(Value::as_f64), Some(42.0));
                     saw_counter = true;
                 }
                 _ => {}
@@ -421,9 +411,11 @@ mod tests {
         // The flooded export is still one valid JSON document and carries
         // the loss count so a reader knows the timeline is incomplete.
         let text = export_chrome();
-        let v = Json::parse(&text).expect("flooded trace still parses");
+        let v: Value = serde_json::from_str(&text).expect("flooded trace still parses");
         assert_eq!(
-            v.get("otherData").and_then(|o| o.get("overwritten_events")).and_then(Json::as_num),
+            v.get("otherData")
+                .and_then(|o| o.get("overwritten_events"))
+                .and_then(Value::as_f64),
             Some((THREADS * EXTRA) as f64)
         );
     }

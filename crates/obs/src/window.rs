@@ -89,11 +89,11 @@ fn start_coarse_clock() {
     });
 }
 
-/// The process observability epoch: the monotonic instant window slots
-/// and [`crate::metrics::Snapshot::uptime_ms`] are phased against,
-/// pinned on first use. Long-running entry points (the CLI, the server)
-/// touch it at startup so uptime counts from process start rather than
-/// from the first recorded metric.
+/// The process observability epoch: the monotonic instant window slots,
+/// [`crate::metrics::Snapshot::uptime_ms`] and trace timestamps are
+/// measured from, pinned on first use. The `wb` binary pins it first
+/// thing in `main`, so uptimes count from process start rather than from
+/// the first recorded metric.
 pub fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)

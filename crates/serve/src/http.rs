@@ -360,21 +360,8 @@ pub fn render_response(
 
 /// Builds the `{"error": …}` JSON body used by every non-200 response.
 pub fn error_body(detail: &str) -> Vec<u8> {
-    let mut out = String::with_capacity(detail.len() + 16);
-    out.push_str("{\"error\":\"");
-    for c in detail.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push_str("\"}");
-    out.into_bytes()
+    let body = std::collections::BTreeMap::from([("error".to_string(), detail)]);
+    serde_json::to_string(&body).expect("an error body serialises").into_bytes()
 }
 
 #[cfg(test)]

@@ -465,108 +465,98 @@ fn prometheus_window_derived(ws: &wb_obs::window::WindowSnapshot) -> String {
 /// Builds the `/varz` body: the windowed live view (10 s and 60 s) plus
 /// instantaneous server state — what `wb top` polls.
 fn varz_body(shared: &Shared) -> String {
+    use serde::{Serialize, Value};
     use std::collections::BTreeMap;
-    use wb_obs::json::Json;
     let ws = wb_obs::window::snapshot();
-    let window_view = |secs: u64| -> Json {
+    let ratio = |n: u64, d: u64| if d > 0 { n as f64 / d as f64 } else { 0.0 };
+    let window_view = |secs: u64| -> Value {
         let csum = |name: &str| {
             ws.counters
                 .get(name)
                 .map(|c| if secs == 10 { c.sum_10s } else { c.sum_60s })
                 .unwrap_or(0)
         };
-        let hist_view = |name: &str| -> Json {
+        let hist_view = |name: &str| -> Value {
             let mut o = BTreeMap::new();
             if let Some(h) = ws.histograms.get(name) {
                 let hs = if secs == 10 { &h.w10s } else { &h.w60s };
-                o.insert("count".to_string(), Json::Num(hs.count as f64));
-                o.insert("mean".to_string(), Json::Num(hs.mean()));
+                o.insert("count".to_string(), hs.count as f64);
+                o.insert("mean".to_string(), hs.mean());
                 for (key, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
                     if let Some(v) = hs.quantile(q) {
-                        o.insert(key.to_string(), Json::Num(v));
+                        o.insert(key.to_string(), v);
                     }
                 }
             }
-            Json::Obj(o)
+            o.to_value()
         };
         let requests = csum("serve.requests");
         let errors = csum("serve.errors");
         let (hits, misses) = (csum("serve.cache.hit"), csum("serve.cache.miss"));
-        let mut o = BTreeMap::new();
-        o.insert("requests".to_string(), Json::Num(requests as f64));
-        o.insert("rps".to_string(), Json::Num(requests as f64 / secs as f64));
-        o.insert("errors".to_string(), Json::Num(errors as f64));
-        o.insert(
-            "error_rate".to_string(),
-            Json::Num(if requests > 0 { errors as f64 / requests as f64 } else { 0.0 }),
-        );
-        let mut cache = BTreeMap::new();
-        cache.insert("hits".to_string(), Json::Num(hits as f64));
-        cache.insert("misses".to_string(), Json::Num(misses as f64));
-        cache.insert(
-            "hit_ratio".to_string(),
-            Json::Num(if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
-            } else {
-                0.0
-            }),
-        );
-        o.insert("cache".to_string(), Json::Obj(cache));
-        o.insert("latency_us".to_string(), hist_view("serve.request.latency_us"));
-        let stages = telemetry::STAGES
+        let cache = BTreeMap::from([
+            ("hits".to_string(), hits as f64),
+            ("misses".to_string(), misses as f64),
+            ("hit_ratio".to_string(), ratio(hits, hits + misses)),
+        ]);
+        let stages: BTreeMap<String, Value> = telemetry::STAGES
             .iter()
             .map(|stage| (stage.to_string(), hist_view(&format!("serve.stage.{stage}_us"))))
             .collect();
-        o.insert("stages_us".to_string(), Json::Obj(stages));
-        Json::Obj(o)
+        BTreeMap::from([
+            ("requests".to_string(), requests.to_value()),
+            ("rps".to_string(), (requests as f64 / secs as f64).to_value()),
+            ("errors".to_string(), errors.to_value()),
+            ("error_rate".to_string(), ratio(errors, requests).to_value()),
+            ("cache".to_string(), cache.to_value()),
+            ("latency_us".to_string(), hist_view("serve.request.latency_us")),
+            ("stages_us".to_string(), stages.to_value()),
+        ])
+        .to_value()
     };
-    let mut windows = BTreeMap::new();
-    windows.insert("10s".to_string(), window_view(10));
-    windows.insert("60s".to_string(), window_view(60));
-    let mut queue = BTreeMap::new();
+    let windows = BTreeMap::from([
+        ("10s".to_string(), window_view(10)),
+        ("60s".to_string(), window_view(60)),
+    ]);
     let g = |name: &str| wb_obs::metrics::registry().gauge(name).get();
-    queue.insert("depth".to_string(), Json::Num(g("serve.queue.depth")));
-    queue.insert("peak".to_string(), Json::Num(g("serve.queue.depth.peak")));
-    let mut cache = BTreeMap::new();
-    cache.insert("size".to_string(), Json::Num(shared.replicas.cache_len() as f64));
-    cache.insert(
-        "capacity".to_string(),
-        Json::Num((shared.cfg.cache_capacity * shared.replicas.len()) as f64),
-    );
     let c = |name: &str| wb_obs::metrics::registry().counter(name).get() as f64;
-    let mut conns = BTreeMap::new();
-    conns.insert("active".to_string(), Json::Num(g("serve.conn.active")));
-    conns.insert("accepted".to_string(), Json::Num(c("serve.conn.accepted")));
-    conns.insert("reused".to_string(), Json::Num(c("serve.conn.reused")));
-    conns.insert("idle_closed".to_string(), Json::Num(c("serve.conn.idle_closed")));
-    conns.insert("framing_errors".to_string(), Json::Num(c("serve.conn.framing_errors")));
-    let mut root = BTreeMap::new();
-    root.insert(
-        "uptime_ms".to_string(),
-        Json::Num(wb_obs::window::epoch().elapsed().as_secs_f64() * 1e3),
-    );
-    root.insert("windows".to_string(), Json::Obj(windows));
-    root.insert("queue".to_string(), Json::Obj(queue));
-    root.insert("cache".to_string(), Json::Obj(cache));
-    root.insert("conns".to_string(), Json::Obj(conns));
+    let queue = BTreeMap::from([
+        ("depth".to_string(), g("serve.queue.depth")),
+        ("peak".to_string(), g("serve.queue.depth.peak")),
+    ]);
+    let cache = BTreeMap::from([
+        ("size".to_string(), shared.replicas.cache_len() as f64),
+        ("capacity".to_string(), (shared.cfg.cache_capacity * shared.replicas.len()) as f64),
+    ]);
+    let conns = BTreeMap::from([
+        ("active".to_string(), g("serve.conn.active")),
+        ("accepted".to_string(), c("serve.conn.accepted")),
+        ("reused".to_string(), c("serve.conn.reused")),
+        ("idle_closed".to_string(), c("serve.conn.idle_closed")),
+        ("framing_errors".to_string(), c("serve.conn.framing_errors")),
+    ]);
     // Runtime stats from the background procstat sampler; read through
     // the gauges (not /proc directly) so /varz never blocks on procfs
     // and `wb top` sees exactly what Prometheus scrapes. Empty object
     // where procfs is unavailable.
     let mut proc = BTreeMap::new();
     if g("proc.threads") > 0.0 {
-        proc.insert("rss_bytes".to_string(), Json::Num(g("proc.rss_bytes")));
-        proc.insert("threads".to_string(), Json::Num(g("proc.threads")));
-        proc.insert("open_fds".to_string(), Json::Num(g("proc.open_fds")));
+        proc.insert("rss_bytes".to_string(), g("proc.rss_bytes"));
+        proc.insert("threads".to_string(), g("proc.threads"));
+        proc.insert("open_fds".to_string(), g("proc.open_fds"));
     }
-    root.insert("proc".to_string(), Json::Obj(proc));
-    root.insert(
-        "breaker".to_string(),
-        Json::Str(shared.replicas.breaker_summary().to_string()),
-    );
-    root.insert("replicas".to_string(), Json::Num(shared.replicas.len() as f64));
-    root.insert("executors".to_string(), Json::Num(shared.executors as f64));
-    Json::Obj(root).render()
+    let uptime_ms = wb_obs::window::epoch().elapsed().as_secs_f64() * 1e3;
+    let root = BTreeMap::from([
+        ("uptime_ms".to_string(), uptime_ms.to_value()),
+        ("windows".to_string(), windows.to_value()),
+        ("queue".to_string(), queue.to_value()),
+        ("cache".to_string(), cache.to_value()),
+        ("conns".to_string(), conns.to_value()),
+        ("proc".to_string(), proc.to_value()),
+        ("breaker".to_string(), shared.replicas.breaker_summary().to_string().to_value()),
+        ("replicas".to_string(), shared.replicas.len().to_value()),
+        ("executors".to_string(), shared.executors.to_value()),
+    ]);
+    serde_json::to_string(&root).expect("a /varz body serialises")
 }
 
 #[cfg(test)]

@@ -20,10 +20,11 @@
 //! sanitising) so ids correlate across services; otherwise the server
 //! mints `wb-<boot>-<seq>`. The id is echoed on every response.
 
+use serde::Serialize;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-use wb_obs::json::Json;
 
 /// Stage names, in the order the `Server-Timing` header lists them — the
 /// single source of truth for the `serve.stage.*_us` metric family, the
@@ -104,17 +105,6 @@ impl StageTimings {
         stage!(serialize_us, "serve.stage.serialize_us");
         stage!(write_us, "serve.stage.write_us");
     }
-
-    /// The `stages` object of the access-log line (zero stages omitted).
-    fn to_json(self) -> Json {
-        Json::Obj(
-            self.stages()
-                .iter()
-                .filter(|&&(_, us)| us > 0)
-                .map(|&(name, us)| (format!("{name}_us"), Json::Num(us as f64)))
-                .collect(),
-        )
-    }
 }
 
 /// Microseconds elapsed since `t0`, saturating into a `u64`.
@@ -155,8 +145,8 @@ pub fn request_id(inbound: Option<&str>) -> String {
 
 /// Builds one structured access-log line: a single JSON object with the
 /// request id, route, status, total latency, cache disposition and the
-/// per-stage breakdown. Keys sort deterministically (the hand-rolled
-/// [`Json`] renderer), so log pipelines can diff lines textually.
+/// per-stage breakdown. Keys sort deterministically, so log pipelines can
+/// diff lines textually.
 pub fn access_log_line(
     id: &str,
     method: &str,
@@ -166,15 +156,23 @@ pub fn access_log_line(
     cache: &str,
     timings: &StageTimings,
 ) -> String {
-    let mut o = std::collections::BTreeMap::new();
-    o.insert("id".to_string(), Json::Str(id.to_string()));
-    o.insert("method".to_string(), Json::Str(method.to_string()));
-    o.insert("path".to_string(), Json::Str(path.to_string()));
-    o.insert("status".to_string(), Json::Num(status as f64));
-    o.insert("total_us".to_string(), Json::Num(total_us as f64));
-    o.insert("cache".to_string(), Json::Str(cache.to_string()));
-    o.insert("stages".to_string(), timings.to_json());
-    Json::Obj(o).render()
+    // Stages the request never entered are omitted.
+    let stages: BTreeMap<String, u64> = timings
+        .stages()
+        .iter()
+        .filter(|&&(_, us)| us > 0)
+        .map(|&(name, us)| (format!("{name}_us"), us))
+        .collect();
+    let line = BTreeMap::from([
+        ("cache".to_string(), cache.to_value()),
+        ("id".to_string(), id.to_value()),
+        ("method".to_string(), method.to_value()),
+        ("path".to_string(), path.to_value()),
+        ("stages".to_string(), stages.to_value()),
+        ("status".to_string(), status.to_value()),
+        ("total_us".to_string(), total_us.to_value()),
+    ]);
+    serde_json::to_string(&line).expect("an access-log line serialises")
 }
 
 #[cfg(test)]

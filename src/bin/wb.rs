@@ -362,6 +362,9 @@ fn write_outputs(globals: &Globals) -> Result<(), String> {
 }
 
 fn main() {
+    // Pin the observability epoch before any work, so snapshot uptimes
+    // and trace timestamps count from process start.
+    let _ = wb_obs::window::epoch();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.iter().any(|a| a == "--help" || a == "-h") || raw.is_empty() {
         print!("{USAGE}");

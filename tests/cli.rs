@@ -211,6 +211,67 @@ fn brief_json_is_byte_identical_with_observability_on() {
     let _ = std::fs::remove_file(trace);
 }
 
+/// Snapshot uptimes and trace timestamps count from process start on one
+/// clock: the uptime covers the checkpoint load, and every trace event
+/// ends before the snapshot is taken.
+#[test]
+fn brief_uptime_covers_its_spans_and_trace_events() {
+    let dir = std::env::temp_dir().join("wb_cli_uptime");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (model, page) = (dir.join("model.json"), dir.join("page.html"));
+    let (metrics, trace) = (dir.join("metrics.json"), dir.join("trace.json"));
+    let out = wb()
+        .args(["train", "--out", model.to_str().unwrap(), "--epochs", "1"])
+        .args(["--subjects", "1", "--pages", "2"])
+        .output()
+        .expect("run wb train");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::write(
+        &page,
+        "<html><body><section><p>great velcro books , price : $ 9.99 .</p></section></body></html>",
+    )
+    .unwrap();
+    let out = wb()
+        .args(["brief", "--model", model.to_str().unwrap(), "--json"])
+        .args(["--trace-out", trace.to_str().unwrap()])
+        .args(["--metrics-out", metrics.to_str().unwrap(), page.to_str().unwrap()])
+        .output()
+        .expect("run wb brief --trace-out --metrics-out");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let text = std::fs::read_to_string(&metrics).expect("metrics file written");
+    let snap = wb_obs::metrics::Snapshot::from_json(&text).expect("parse metrics snapshot");
+    let load_ns: u64 = snap
+        .spans
+        .iter()
+        .filter(|(path, _)| path.rsplit('/').next() == Some("core.checkpoint.load"))
+        .map(|(_, s)| s.total_ns)
+        .sum();
+    assert!(load_ns > 0, "no core.checkpoint.load span: {text}");
+    assert!(
+        snap.uptime_ms >= load_ns as f64 / 1e6,
+        "uptime {} ms is shorter than the checkpoint load ({load_ns} ns)",
+        snap.uptime_ms
+    );
+
+    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    let v: serde_json::Value = serde_json::from_str(&text).expect("trace is valid JSON");
+    let events = v.get("traceEvents").and_then(|e| e.as_array()).expect("traceEvents array");
+    let end_us = |e: &serde_json::Value| {
+        let field = |k: &str| e.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0);
+        field("ts") + field("dur")
+    };
+    let last_end_ms = events.iter().map(end_us).fold(0.0, f64::max) / 1e3;
+    assert!(last_end_ms > 0.0, "trace recorded no events: {text}");
+    assert!(
+        last_end_ms <= snap.uptime_ms,
+        "the last trace event ends at {last_end_ms} ms, after the snapshot's uptime {} ms",
+        snap.uptime_ms
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Span name → event count of every complete ("X") event in a trace file.
 fn span_counts(path: &std::path::Path) -> std::collections::BTreeMap<String, usize> {
     let text = std::fs::read_to_string(path).expect("trace file written");
