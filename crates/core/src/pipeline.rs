@@ -1197,6 +1197,50 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A fault at `pipeline.chunk` quarantines the page it fires on, with
+    /// the panic or the injected error as its reason, and every other page
+    /// briefs as in an unfaulted run.
+    #[test]
+    fn a_chunk_fault_quarantines_only_that_page() {
+        let _chaos = wb_chaos::test_lock();
+        let briefer = test_briefer();
+        let run = |name: &str, faults: Option<&str>| {
+            let dir = fresh_dir(name);
+            site_in(&dir.join("site"), SiteScenario::Clean, 7, 8);
+            let cfg = cfg_in(&dir);
+            if let Some(spec) = faults {
+                wb_chaos::arm_str(spec).unwrap();
+            }
+            let report = crawl_brief(&briefer, &cfg);
+            wb_chaos::disarm();
+            report.unwrap();
+            let out =
+                (jsonl::<OutLine>(&cfg.out_path), jsonl::<DeadLine>(&cfg.dead_letter_path));
+            let _ = std::fs::remove_dir_all(&dir);
+            out
+        };
+        let (reference, none) = run("wb_pipeline_chunk_fault_ref", None);
+        assert!(none.is_empty(), "{none:?}");
+        assert_eq!(reference.len(), 7);
+        for action in ["panic", "error"] {
+            let spec = format!("pipeline.chunk={action}@nth(2)");
+            let (briefs, dead) = run(&format!("wb_pipeline_chunk_fault_{action}"), Some(&spec));
+            assert_eq!(dead.len(), 1, "{spec}: {dead:?}");
+            assert_eq!((dead[0].seq, &dead[0].url), (reference[1].seq, &reference[1].url));
+            let reason = &dead[0].reason;
+            if action == "panic" {
+                assert!(reason.starts_with("panic while chunking:"), "{spec}: {reason}");
+            } else {
+                assert_eq!(reason, "injected fault at pipeline.chunk", "{spec}");
+            }
+            let expected: Vec<_> = reference.iter().filter(|l| l.seq != dead[0].seq).collect();
+            assert_eq!(briefs.len(), expected.len(), "{spec}");
+            for (got, want) in briefs.iter().zip(expected) {
+                assert_eq!((got.seq, &got.url, &got.brief), (want.seq, &want.url, &want.brief));
+            }
+        }
+    }
+
     /// A page that panics inside a batch of multi-chunk pages, whose
     /// chunks share one fan-out, is quarantined alone: the fault fires on
     /// the second page to reach the briefer, and every other page briefs
