@@ -83,45 +83,16 @@ impl std::fmt::Display for BriefError {
 
 impl std::error::Error for BriefError {}
 
-/// Encodes raw sentences into an unlabelled [`Example`] for inference.
-pub fn encode_text(sentences: &[String], wp: &WordPiece) -> Example {
-    let mut tokens = Vec::new();
-    let mut cls_positions = Vec::new();
-    let mut sentence_of = Vec::new();
-    for (s_idx, sent) in sentences.iter().enumerate() {
-        cls_positions.push(tokens.len());
-        tokens.push(CLS);
-        sentence_of.push(s_idx);
-        for id in wp.encode(sent) {
-            tokens.push(id);
-            sentence_of.push(s_idx);
-        }
-    }
-    let n = tokens.len();
-    let m = cls_positions.len();
-    Example {
-        topic: TopicId(0),
-        tokens,
-        cls_positions,
-        sentence_of,
-        bio: vec![0; n],
-        informative: vec![false; m],
-        topic_target: vec![wb_text::EOS],
-        attr_spans: Vec::new(),
-    }
-}
-
-/// Splits raw sentences into 512-token-style sub-document [`Example`]s,
-/// mirroring the training-time preprocessing in [`wb_text::EncodedDoc`]
-/// (§IV-A3): sub-documents hold whole sentences where possible, a sentence
-/// longer than `cfg.sub_len` is cut at the sub-document boundary, and the
-/// page is truncated at `cfg.doc_len` real tokens overall. Unlike training,
-/// no `[PAD]` is appended — each sub-document is encoded on its own, so
-/// padding would only shift the LSTM states away from the unchunked path.
+/// Splits raw sentences into 512-token-style sub-document [`Example`]s, the
+/// preprocessing of §IV-A3: a `[CLS]` token starts every sentence,
+/// sub-documents hold whole sentences where possible, a sentence longer
+/// than `cfg.sub_len` is cut at the sub-document boundary, and the page is
+/// truncated at `cfg.doc_len` real tokens overall. Unlike the paper, no
+/// `[PAD]` is appended: each sub-document is encoded on its own, so
+/// padding would only shift the LSTM states.
 ///
 /// A page that fits inside one sub-document yields a single [`Example`]
-/// identical to [`encode_text`]'s output, which keeps chunked inference
-/// byte-equivalent to the unchunked path for short pages.
+/// holding the whole page, so a short page briefs as one unchunked pass.
 pub fn encode_chunked(sentences: &[String], wp: &WordPiece, cfg: ChunkConfig) -> Vec<Example> {
     assert!(
         cfg.sub_len >= 2 && cfg.doc_len.is_multiple_of(cfg.sub_len),
@@ -153,8 +124,8 @@ pub fn encode_chunked(sentences: &[String], wp: &WordPiece, cfg: ChunkConfig) ->
         });
     };
     for sent in sentences {
-        // Like EncodedDoc: never start a sentence whose [CLS] would be the
-        // document's final token slot.
+        // Never start a sentence whose [CLS] would be the document's final
+        // token slot.
         if total + 1 >= cfg.doc_len {
             break;
         }
@@ -708,16 +679,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn encode_text_structure() {
-        let d = Dataset::generate(&DatasetConfig::tiny());
-        let ex = encode_text(&["hello world .".into(), "more text .".into()], &d.tokenizer);
-        assert_eq!(ex.cls_positions.len(), 2);
-        assert_eq!(ex.tokens[0], CLS);
-        assert_eq!(ex.tokens.len(), ex.sentence_of.len());
-        assert_eq!(ex.tokens.len(), ex.bio.len());
-    }
-
-    #[test]
     fn brief_renders_hierarchy() {
         let b = Brief {
             topic: "fiction goods shopping".into(),
@@ -768,17 +729,11 @@ pub(crate) mod tests {
         let html = "<html><body><section><p>Great velcro books, price : $ 40.13 today.</p>\
                     <p>A second sentence about fiction goods.</p></section></body></html>";
         // The page fits inside one sub-document, so the chunked pipeline
-        // must reduce to exactly the historical unchunked one.
+        // must reduce to one unchunked pass over that sub-document.
         let sentences = split_sentences(&wb_html::visible_text(&parse_document(html).unwrap()));
         let chunks = encode_chunked(&sentences, &d.tokenizer, briefer.chunk_config());
         assert_eq!(chunks.len(), 1, "short page must be a single chunk");
-        let unchunked = encode_text(&sentences, &d.tokenizer);
-        assert_eq!(chunks[0].tokens, unchunked.tokens);
-        assert_eq!(chunks[0].cls_positions, unchunked.cls_positions);
-        assert_eq!(chunks[0].sentence_of, unchunked.sentence_of);
-        let via_html = briefer.brief_html(html).unwrap();
-        let via_example = briefer.brief_example(&encode_text(&sentences, &d.tokenizer));
-        assert_eq!(via_html, via_example);
+        assert_eq!(briefer.brief_html(html).unwrap(), briefer.brief_example(&chunks[0]));
     }
 
     #[test]
@@ -786,7 +741,10 @@ pub(crate) mod tests {
         let d = Dataset::generate(&DatasetConfig::tiny());
         let sentences: Vec<String> =
             (0..8).map(|i| format!("great velcro books number {i} today .")).collect();
-        let one = encode_text(&sentences, &d.tokenizer);
+        let whole = ChunkConfig { doc_len: 1 << 16, sub_len: 1 << 16 };
+        let mut unchunked = encode_chunked(&sentences, &d.tokenizer, whole);
+        assert_eq!(unchunked.len(), 1, "one chunk holds the whole page");
+        let one = unchunked.remove(0);
         let per_sent = one.tokens.len() / 8;
         // Pick a sub_len that holds two-ish sentences.
         let sub = (2 * per_sent + 2).max(4);
@@ -850,7 +808,10 @@ pub(crate) mod tests {
     #[test]
     fn attribute_name_inference_matches_cues() {
         let d = Dataset::generate(&DatasetConfig::tiny());
-        let ex = encode_text(&["special , price : $ 42 today .".into()], &d.tokenizer);
+        let sentences = ["special , price : $ 42 today .".to_string()];
+        let ex =
+            encode_chunked(&sentences, &d.tokenizer, ChunkConfig { doc_len: 64, sub_len: 64 })
+                .remove(0);
         // Find the <digit> token (the 42).
         let digit_id = d.tokenizer.vocab().id("<digit>").unwrap();
         let pos = ex.tokens.iter().position(|&t| t == digit_id).unwrap();

@@ -38,7 +38,7 @@ mod sensitivity;
 mod trainer;
 mod tri;
 
-pub use briefer::{encode_chunked, encode_text, Brief, BriefAttribute, BriefError, Briefer};
+pub use briefer::{encode_chunked, Brief, BriefAttribute, BriefError, Briefer};
 pub use checkpoint::{Checkpoint, RestoreError};
 pub use config::{DistillConfig, ModelConfig, TrainConfig};
 pub use distill::{

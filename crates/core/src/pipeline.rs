@@ -1,19 +1,19 @@
-//! The `wb crawl-brief` streaming pipeline: crawl → parse → chunk → brief
-//! → JSONL sink, as four stages joined by *bounded* queues.
+//! The `wb crawl-brief` streaming pipeline: crawl + parse + chunk → brief
+//! → JSONL sink, as three stages joined by *bounded* queues.
 //!
-//! The chunk and brief stages are [`Briefer::brief_html`] split in two:
-//! the chunker calls [`Briefer::prepare`] and the briefer stage hands a
-//! batch of chunked pages to [`Briefer::brief_batch`]. So a page's brief,
-//! and the dead-letter reason of a page that cannot brief, are the same as
-//! `wb brief` and `wb serve` give for it.
+//! The crawler and briefer stages split [`Briefer::brief_html`] in two:
+//! the crawler calls [`Briefer::prepare`] on the page it has just parsed
+//! and the briefer stage hands a batch of chunked pages to
+//! [`Briefer::brief_batch`]. So a page's brief, and the dead-letter reason
+//! of a page that cannot brief, are the same as `wb brief` and `wb serve`
+//! give for it.
 //!
 //! Design invariants:
 //!
 //! * **Bounded memory.** Every inter-stage queue is a
 //!   `std::sync::mpsc::sync_channel` with a fixed capacity, so a slow
-//!   briefer back-pressures the chunker, which back-pressures the
-//!   pull-based crawl frontier. Peak memory is governed by
-//!   `queue_depth × page size`, not by site size; the
+//!   briefer back-pressures the pull-based crawl frontier. Peak memory is
+//!   governed by `queue_depth × page size`, not by site size; the
 //!   `pipeline.inflight.bytes_peak` and `pipeline.queue.*.depth_peak`
 //!   gauges prove it at run time.
 //! * **Fault isolation.** Each page is parsed, chunked and briefed under
@@ -245,15 +245,7 @@ struct DeadRecord {
 // ---------------------------------------------------------------------------
 
 enum PageMsg {
-    Page { seq: usize, url: String, dom: wb_html::Node, bytes: usize },
-    Dead { seq: usize, url: String, reason: String },
-    Replayed { seq: usize, url: String },
-    State(CrawlState),
-    Done(CrawlState),
-}
-
-enum ChunkMsg {
-    Chunks { seq: usize, url: String, chunks: Vec<Example>, bytes: usize },
+    Page { seq: usize, url: String, chunks: Vec<Example>, bytes: usize },
     Dead { seq: usize, url: String, reason: String },
     Replayed { seq: usize, url: String },
     State(CrawlState),
@@ -354,9 +346,11 @@ impl Inflight {
 // Stage 1: crawler
 // ---------------------------------------------------------------------------
 
-/// Pull-based URL-frontier BFS over the on-disk site. Emits one message
-/// per sequenced page and winds down when the sink hangs up.
+/// Pull-based URL-frontier BFS over the on-disk site. Parses each page and
+/// [`Briefer::prepare`]s each content-rich one, emits one message per
+/// sequenced page and winds down when the sink hangs up.
 fn run_crawler(
+    briefer: &Briefer,
     cfg: &PipelineConfig,
     mut st: CrawlState,
     journal_len: usize,
@@ -396,8 +390,9 @@ fn run_crawler(
                 std::fs::read_to_string(&path)
             })
         };
-        // Each sequenced outcome flows through `emit`; a replayed sequence
-        // number short-circuits to a lightweight marker message.
+        // Each sequenced outcome flows through `emit`, which chunks a parsed
+        // page; a replayed sequence number short-circuits to a lightweight
+        // marker message, unchunked.
         let emit = |st: &mut CrawlState,
                     queue: &VecDeque<String>,
                     seen: &HashSet<String>,
@@ -409,10 +404,10 @@ fn run_crawler(
             let msg = if seq < journal_len {
                 PageMsg::Replayed { seq, url }
             } else {
-                match page {
-                    Ok((dom, bytes)) => {
+                match page.and_then(|(dom, bytes)| Ok((chunk(briefer, &dom)?, bytes))) {
+                    Ok((chunks, bytes)) => {
                         inflight.add(bytes);
-                        PageMsg::Page { seq, url, dom, bytes }
+                        PageMsg::Page { seq, url, chunks, bytes }
                     }
                     Err(reason) => PageMsg::Dead { seq, url, reason },
                 }
@@ -487,54 +482,20 @@ fn run_crawler(
     let _ = tx.send(PageMsg::Done(st));
 }
 
-// ---------------------------------------------------------------------------
-// Stage 2: chunker
-// ---------------------------------------------------------------------------
-
-/// [`Briefer::prepare`] for each page, under `catch_unwind`.
-fn run_chunker(
-    briefer: &Briefer,
-    rx: GaugedRx<PageMsg>,
-    tx: GaugedTx<ChunkMsg>,
-    inflight: &Inflight,
-) {
-    while let Some(msg) = rx.recv() {
-        let out = match msg {
-            PageMsg::Page { seq, url, dom, bytes } => {
-                let _s = wb_obs::span!("pipeline.chunk");
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(f) = wb_chaos::fault_point!("pipeline.chunk") {
-                        return Err(f.io_error("pipeline.chunk").to_string());
-                    }
-                    briefer.prepare(&dom).map_err(|e| e.to_string())
-                }));
-                match r {
-                    Ok(Ok(chunks)) => ChunkMsg::Chunks { seq, url, chunks, bytes },
-                    Ok(Err(reason)) => {
-                        inflight.sub(bytes);
-                        ChunkMsg::Dead { seq, url, reason }
-                    }
-                    Err(p) => {
-                        inflight.sub(bytes);
-                        let reason =
-                            format!("panic while chunking: {}", panic_text(p.as_ref()));
-                        ChunkMsg::Dead { seq, url, reason }
-                    }
-                }
-            }
-            PageMsg::Dead { seq, url, reason } => ChunkMsg::Dead { seq, url, reason },
-            PageMsg::Replayed { seq, url } => ChunkMsg::Replayed { seq, url },
-            PageMsg::State(s) => ChunkMsg::State(s),
-            PageMsg::Done(s) => ChunkMsg::Done(s),
-        };
-        if tx.send(out).is_err() {
-            return;
+/// [`Briefer::prepare`] for one page, under `catch_unwind`.
+fn chunk(briefer: &Briefer, dom: &wb_html::Node) -> Result<Vec<Example>, String> {
+    let _s = wb_obs::span!("pipeline.chunk");
+    catch_unwind(AssertUnwindSafe(|| {
+        if let Some(f) = wb_chaos::fault_point!("pipeline.chunk") {
+            return Err(f.io_error("pipeline.chunk").to_string());
         }
-    }
+        briefer.prepare(dom).map_err(|e| e.to_string())
+    }))
+    .unwrap_or_else(|p| Err(format!("panic while chunking: {}", panic_text(p.as_ref()))))
 }
 
 // ---------------------------------------------------------------------------
-// Stage 3: briefer
+// Stage 2: briefer
 // ---------------------------------------------------------------------------
 
 /// Batches consecutive chunked pages, briefs each batch with
@@ -547,7 +508,7 @@ fn run_briefer(
     briefer: &Briefer,
     batch_size: usize,
     inflight: &Inflight,
-    rx: GaugedRx<ChunkMsg>,
+    rx: GaugedRx<PageMsg>,
     tx: GaugedTx<BriefMsg>,
 ) {
     let batch_size = batch_size.max(1);
@@ -577,17 +538,17 @@ fn run_briefer(
     };
     while let Some(msg) = rx.recv() {
         let forward = match msg {
-            ChunkMsg::Chunks { seq, url, chunks, bytes } => {
+            PageMsg::Page { seq, url, chunks, bytes } => {
                 batch.push((seq, url, chunks, bytes));
                 if batch.len() >= batch_size && flush(&mut batch).is_err() {
                     return;
                 }
                 continue;
             }
-            ChunkMsg::Dead { seq, url, reason } => BriefMsg::Dead { seq, url, reason },
-            ChunkMsg::Replayed { seq, url } => BriefMsg::Replayed { seq, url },
-            ChunkMsg::State(s) => BriefMsg::State(s),
-            ChunkMsg::Done(s) => BriefMsg::Done(s),
+            PageMsg::Dead { seq, url, reason } => BriefMsg::Dead { seq, url, reason },
+            PageMsg::Replayed { seq, url } => BriefMsg::Replayed { seq, url },
+            PageMsg::State(s) => BriefMsg::State(s),
+            PageMsg::Done(s) => BriefMsg::Done(s),
         };
         if flush(&mut batch).is_err() || tx.send(forward).is_err() {
             return;
@@ -597,7 +558,7 @@ fn run_briefer(
 }
 
 // ---------------------------------------------------------------------------
-// Stage 4: sink (journal, snapshots, error budget)
+// Stage 3: sink (journal, snapshots, error budget)
 // ---------------------------------------------------------------------------
 
 fn fault_gate(point: &'static str) -> io::Result<()> {
@@ -874,14 +835,12 @@ pub fn crawl_brief(
     // --- The staged pipeline. ---
     let inflight = Inflight::new();
     let (page_tx, page_rx) = gauged_channel::<PageMsg>("page", cfg.queue_depth);
-    let (chunk_tx, chunk_rx) = gauged_channel::<ChunkMsg>("chunk", cfg.queue_depth);
     let (brief_tx, brief_rx) = gauged_channel::<BriefMsg>("brief", cfg.queue_depth);
 
     let (report, crawl) = std::thread::scope(|s| {
         let infl = &inflight;
-        s.spawn(move || run_crawler(cfg, state, journal_len, infl, page_tx));
-        s.spawn(move || run_chunker(briefer, page_rx, chunk_tx, infl));
-        s.spawn(move || run_briefer(briefer, cfg.batch, infl, chunk_rx, brief_tx));
+        s.spawn(move || run_crawler(briefer, cfg, state, journal_len, infl, page_tx));
+        s.spawn(move || run_briefer(briefer, cfg.batch, infl, page_rx, brief_tx));
         let crawl = sink.run(brief_rx, infl);
         ((sink.briefed, sink.quarantined, sink.replayed), crawl)
     });

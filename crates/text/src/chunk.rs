@@ -1,194 +1,14 @@
-//! Document representation following §IV-A3: a `[CLS]` token is inserted at
-//! the start of every sentence (BERTSUM-style), the document is zero-padded
-//! to a fixed length, and split into fixed-size sub-documents to respect the
-//! encoder's input limit (the paper pads to 2,048 and splits into four
-//! 512-token sub-documents).
-
-use crate::vocab::{CLS, PAD};
-use crate::wordpiece::WordPiece;
+//! The sub-document shape of §IV-A3: a `[CLS]` token starts every sentence
+//! (BERTSUM-style) and the document is split into fixed-size sub-documents
+//! to respect the encoder's input limit (the paper pads to 2,048 tokens and
+//! splits into four 512-token sub-documents). `wb_core::encode_chunked`
+//! applies it.
 
 /// Chunking configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChunkConfig {
-    /// Target padded document length.
+    /// Token budget of the whole document.
     pub doc_len: usize,
     /// Sub-document length; must divide `doc_len`.
     pub sub_len: usize,
-}
-
-impl ChunkConfig {
-    /// The paper's setting: 2,048-token documents in four 512-token chunks.
-    pub fn paper() -> Self {
-        ChunkConfig { doc_len: 2048, sub_len: 512 }
-    }
-
-    /// A CPU-sized setting used by tests and experiments.
-    pub fn scaled(doc_len: usize, sub_len: usize) -> Self {
-        ChunkConfig { doc_len, sub_len }
-    }
-}
-
-/// A tokenised, `[CLS]`-annotated, padded document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EncodedDoc {
-    /// Token ids, padded with `[PAD]` to `doc_len`.
-    pub tokens: Vec<u32>,
-    /// Positions of each sentence's `[CLS]` token within `tokens`.
-    pub cls_positions: Vec<usize>,
-    /// For every position, the index of the sentence it belongs to
-    /// (padding positions map to `usize::MAX`).
-    pub sentence_of: Vec<usize>,
-    /// Number of real (non-padding) tokens.
-    pub real_len: usize,
-}
-
-impl EncodedDoc {
-    /// Encodes pre-split sentences. Sentences that no longer fit inside
-    /// `cfg.doc_len` are truncated away; a sentence is never split across
-    /// the document boundary mid-way (it is cut at the boundary).
-    pub fn from_sentences(sentences: &[String], wp: &WordPiece, cfg: ChunkConfig) -> Self {
-        assert!(
-            cfg.sub_len > 0 && cfg.doc_len.is_multiple_of(cfg.sub_len),
-            "sub_len must divide doc_len"
-        );
-        let mut tokens = Vec::with_capacity(cfg.doc_len);
-        let mut cls_positions = Vec::new();
-        let mut sentence_of = Vec::with_capacity(cfg.doc_len);
-        for (s_idx, sent) in sentences.iter().enumerate() {
-            if tokens.len() + 1 >= cfg.doc_len {
-                break;
-            }
-            cls_positions.push(tokens.len());
-            tokens.push(CLS);
-            sentence_of.push(s_idx);
-            for id in wp.encode(sent) {
-                if tokens.len() >= cfg.doc_len {
-                    break;
-                }
-                tokens.push(id);
-                sentence_of.push(s_idx);
-            }
-        }
-        let real_len = tokens.len();
-        tokens.resize(cfg.doc_len, PAD);
-        sentence_of.resize(cfg.doc_len, usize::MAX);
-        EncodedDoc { tokens, cls_positions, sentence_of, real_len }
-    }
-
-    /// Number of sentences that made it into the document.
-    pub fn num_sentences(&self) -> usize {
-        self.cls_positions.len()
-    }
-
-    /// The token ids of the `i`-th sub-document.
-    pub fn sub_document(&self, i: usize, cfg: ChunkConfig) -> &[u32] {
-        &self.tokens[i * cfg.sub_len..(i + 1) * cfg.sub_len]
-    }
-
-    /// Number of sub-documents under `cfg`.
-    pub fn num_sub_documents(&self, cfg: ChunkConfig) -> usize {
-        self.tokens.len() / cfg.sub_len
-    }
-
-    /// The non-padding token ids.
-    pub fn real_tokens(&self) -> &[u32] {
-        &self.tokens[..self.real_len]
-    }
-
-    /// Token index range `[start, end)` of sentence `s`.
-    pub fn sentence_span(&self, s: usize) -> (usize, usize) {
-        let start = self.cls_positions[s];
-        let end = self.cls_positions.get(s + 1).copied().unwrap_or(self.real_len);
-        (start, end)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::wordpiece::{WordPiece, WordPieceConfig};
-
-    fn wp() -> WordPiece {
-        WordPiece::train(
-            ["alpha beta gamma delta epsilon zeta eta theta"].into_iter(),
-            WordPieceConfig {
-                max_words: 50,
-                max_pieces: 50,
-                min_word_freq: 1,
-                max_piece_len: 4,
-            },
-        )
-    }
-
-    #[test]
-    fn cls_at_every_sentence_start() {
-        let doc = EncodedDoc::from_sentences(
-            &["alpha beta".into(), "gamma".into()],
-            &wp(),
-            ChunkConfig::scaled(16, 8),
-        );
-        assert_eq!(doc.num_sentences(), 2);
-        for &p in &doc.cls_positions {
-            assert_eq!(doc.tokens[p], CLS);
-        }
-        assert_eq!(doc.cls_positions[0], 0);
-    }
-
-    #[test]
-    fn pads_to_doc_len() {
-        let doc =
-            EncodedDoc::from_sentences(&["alpha".into()], &wp(), ChunkConfig::scaled(16, 8));
-        assert_eq!(doc.tokens.len(), 16);
-        assert_eq!(doc.real_len, 2); // [CLS] + alpha
-        assert!(doc.tokens[2..].iter().all(|&t| t == PAD));
-        assert!(doc.sentence_of[2..].iter().all(|&s| s == usize::MAX));
-    }
-
-    #[test]
-    fn truncates_overlong_documents() {
-        let sentences: Vec<String> = (0..100).map(|_| "alpha beta gamma".to_string()).collect();
-        let doc = EncodedDoc::from_sentences(&sentences, &wp(), ChunkConfig::scaled(32, 8));
-        assert_eq!(doc.tokens.len(), 32);
-        assert!(doc.real_len <= 32);
-        assert!(doc.num_sentences() < 100);
-    }
-
-    #[test]
-    fn sub_documents_partition_tokens() {
-        let sentences: Vec<String> = (0..10).map(|_| "alpha beta".to_string()).collect();
-        let cfg = ChunkConfig::scaled(24, 8);
-        let doc = EncodedDoc::from_sentences(&sentences, &wp(), cfg);
-        assert_eq!(doc.num_sub_documents(cfg), 3);
-        let total: usize = (0..3).map(|i| doc.sub_document(i, cfg).len()).sum();
-        assert_eq!(total, 24);
-    }
-
-    #[test]
-    fn sentence_span_covers_tokens() {
-        let doc = EncodedDoc::from_sentences(
-            &["alpha beta".into(), "gamma delta".into()],
-            &wp(),
-            ChunkConfig::scaled(16, 8),
-        );
-        let (s0, e0) = doc.sentence_span(0);
-        let (s1, e1) = doc.sentence_span(1);
-        assert_eq!(e0, s1);
-        assert_eq!(e1, doc.real_len);
-        assert!(doc.sentence_of[s0..e0].iter().all(|&s| s == 0));
-        assert!(doc.sentence_of[s1..e1].iter().all(|&s| s == 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "sub_len")]
-    fn bad_chunk_config_panics() {
-        let _ = EncodedDoc::from_sentences(&[], &wp(), ChunkConfig::scaled(10, 3));
-    }
-
-    #[test]
-    fn paper_config_shape() {
-        let cfg = ChunkConfig::paper();
-        assert_eq!(cfg.doc_len, 2048);
-        assert_eq!(cfg.sub_len, 512);
-        assert_eq!(cfg.doc_len / cfg.sub_len, 4);
-    }
 }

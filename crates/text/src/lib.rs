@@ -8,20 +8,20 @@
 //! 2. [`split_sentences`] segments visible text into sentences.
 //! 3. [`WordPiece`] is a trainable WordPiece-style subword tokenizer
 //!    (greedy longest-match with `##` continuations).
-//! 4. [`EncodedDoc`] inserts a `[CLS]` token per sentence (BERTSUM-style),
-//!    zero-pads to a fixed document length and splits into fixed-size
-//!    sub-documents.
+//! 4. [`ChunkConfig`] is the sub-document shape: a `[CLS]` token per
+//!    sentence (BERTSUM-style), whole sentences packed into fixed-size
+//!    sub-documents, and a token budget for the whole document.
 //!
 //! ```
-//! use wb_text::{WordPiece, WordPieceConfig, EncodedDoc, ChunkConfig, split_sentences};
+//! use wb_text::{split_sentences, WordPiece, WordPieceConfig};
 //!
 //! let wp = WordPiece::train(
 //!     ["deep learning books on sale. free shipping today."].into_iter(),
 //!     WordPieceConfig::default(),
 //! );
 //! let sentences = split_sentences("Deep learning books. Free shipping.");
-//! let doc = EncodedDoc::from_sentences(&sentences, &wp, ChunkConfig::scaled(32, 8));
-//! assert_eq!(doc.num_sentences(), 2);
+//! assert_eq!(sentences.len(), 2);
+//! assert!(!wp.encode(&sentences[0]).is_empty());
 //! ```
 
 mod chunk;
@@ -30,7 +30,7 @@ mod stats;
 mod vocab;
 mod wordpiece;
 
-pub use chunk::{ChunkConfig, EncodedDoc};
+pub use chunk::ChunkConfig;
 pub use normalize::{normalize, split_sentences, DIGIT_TOKEN, NEWLINE_TOKEN};
 pub use stats::{coverage, Coverage, FrequencyTable};
 pub use vocab::{Vocab, BOS, CLS, EOS, PAD, SEP, SPECIALS, UNK};

@@ -228,7 +228,7 @@ fn memory_stays_bounded_as_the_site_grows_tenfold() {
     // scale: backpressure reaches the frontier instead of buffering.
     // (The peak counts the item a blocked sender is holding, so the
     // bound is capacity + 1.)
-    for q in ["page", "chunk", "brief"] {
+    for q in ["page", "brief"] {
         let name = format!("pipeline.queue.{q}.depth_peak");
         assert!(gauge(&small, &name) <= 5.0, "{name} exceeded the bound (small)");
         assert!(gauge(&large, &name) <= 5.0, "{name} exceeded the bound (large)");
