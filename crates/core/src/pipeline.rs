@@ -981,6 +981,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The structure-driven filter on a hand-built site: the index and
+    /// media pages are visited and skipped, the content cycle (each page
+    /// also linking back to the root) is briefed once per page, and a
+    /// `..` link to a content-rich page outside the site is never followed.
+    #[test]
+    fn crawl_skips_index_and_media_visits_a_cycle_once_and_stays_in_the_site() {
+        let _chaos = wb_chaos::test_lock();
+        let dir = fresh_dir("wb_pipeline_structure");
+        let site = dir.join("site");
+        std::fs::create_dir_all(site.join("page")).unwrap();
+        let content = |i: usize, links: &str| {
+            let paras: String = (0..8)
+                .map(|p| format!("<p>page {i} paragraph {p} with plenty of running words</p>"))
+                .collect();
+            format!("<body>{paras}{links}</body>")
+        };
+        let padding: String =
+            (0..12).map(|i| format!("<a href=\"#pad{i}\">menu</a>")).collect();
+        let index = format!(
+            "<body><a href=\"/page/0\">p</a><a href=\"/media\">m</a>\
+             <a href=\"/../outside\">o</a>{padding}</body>"
+        );
+        std::fs::write(site.join("index.html"), index).unwrap();
+        std::fs::write(
+            site.join("media.html"),
+            format!("<body>{}</body>", "<video></video>".repeat(10)),
+        )
+        .unwrap();
+        for i in 0..3 {
+            let links =
+                format!("<a href=\"/page/{}\">next</a><a href=\"/\">home</a>", (i + 1) % 3);
+            std::fs::write(site.join(format!("page/{i}.html")), content(i, &links)).unwrap();
+        }
+        std::fs::write(dir.join("outside.html"), content(9, "")).unwrap();
+
+        let briefer = test_briefer();
+        let cfg = cfg_in(&dir);
+        let report = crawl_brief(&briefer, &cfg).unwrap();
+        assert_eq!(
+            (report.briefed, report.quarantined, report.skipped_index, report.skipped_media),
+            (3, 0, 1, 1)
+        );
+        assert_eq!((report.visited, report.broken_links), (5, 0));
+        let urls: Vec<String> =
+            jsonl::<OutLine>(&cfg.out_path).into_iter().map(|l| l.url).collect();
+        assert_eq!(urls, ["/page/0", "/page/1", "/page/2"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn interrupted_run_resumes_to_byte_identical_output() {
         let _chaos = wb_chaos::test_lock();
