@@ -5,9 +5,10 @@
 //! The `wb crawl-brief` pipeline must survive all of it: hostile pages are
 //! quarantined or degraded per-page, never allowed to kill the run.
 //!
-//! Unlike [`crate::generate_website`], pages here are *strings*, not DOM
-//! nodes — malformed HTML cannot exist as a parsed `Node` by construction,
-//! so the hostile site lives at the byte level, exactly as on disk.
+//! [`generate_site`] + [`export_site`] build the only sites the crawler
+//! walks. Pages here are *strings*, not DOM nodes — malformed HTML cannot
+//! exist as a parsed `Node` by construction, so the hostile site lives at
+//! the byte level, exactly as on disk.
 
 use crate::page::{generate_page, PageConfig};
 use crate::taxonomy::{TopicSpec, BOILERPLATE};

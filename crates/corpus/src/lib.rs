@@ -31,7 +31,6 @@ mod export;
 mod hostile;
 mod page;
 mod taxonomy;
-mod website;
 
 pub use dataset::{
     concat_pages, encode_page, Dataset, DatasetConfig, Example, Split, NUM_TAGS, TAG_B, TAG_I,
@@ -47,4 +46,3 @@ pub use taxonomy::{
     AttrKind, Family, Source, Taxonomy, TopicId, TopicSpec, BOILERPLATE, FAMILIES, FIRST_NAMES,
     LAST_NAMES,
 };
-pub use website::{generate_website, GeneratedWebsite, WebsiteConfig};

@@ -3,7 +3,8 @@
 //!
 //! The webpage substrate: a DOM model, a lenient HTML parser, visible-text
 //! extraction (our stand-in for the paper's Selenium rendering step), page
-//! classification, and a structure-driven crawler over synthetic websites.
+//! classification, and the link frontier that `wb crawl-brief`'s
+//! structure-driven crawler follows.
 //!
 //! ```
 //! use wb_html::{parse_document, visible_text};
@@ -14,15 +15,10 @@
 
 mod dom;
 mod parse;
-mod query;
 mod render;
 mod site;
 
 pub use dom::{unescape, Node, Tag};
 pub use parse::{parse_document, ParseError, MAX_DEPTH};
-pub use query::{descendants, find_all, find_by_attr, find_first, text_content, Descendants};
 pub use render::{classify_page, visible_blocks, visible_text, PageKind, VisibleBlock};
-pub use site::{
-    crawl, link_urls, CrawlConfig, CrawlResult, CrawlStep, CrawlStream, LinkError, SitePage,
-    Website,
-};
+pub use site::link_urls;

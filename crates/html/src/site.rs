@@ -1,208 +1,13 @@
-//! A synthetic website graph and the structure-driven crawler used to build
-//! the dataset (the paper crawls 1,500–2,000 content-rich pages per website
-//! and drops index/media pages).
-//!
-//! The crawler core is the pull-based [`CrawlStream`]: pages are visited
-//! one `next()` at a time, so a streaming consumer (the `wb crawl-brief`
-//! pipeline) applies backpressure to the frontier simply by not asking for
-//! the next page. [`crawl`] is the eager convenience wrapper.
+//! The URL frontier of `wb crawl-brief`'s structure-driven crawler
+//! (`run_crawler` in `wb-core`'s pipeline): the site-relative links it
+//! follows out of each parsed page, whatever kind of page that is.
 
 use crate::dom::{Node, Tag};
-use crate::render::{classify_page, PageKind};
-use std::collections::VecDeque;
-
-/// One page of a website.
-#[derive(Debug, Clone)]
-pub struct SitePage {
-    /// Site-relative URL.
-    pub url: String,
-    /// Parsed document.
-    pub dom: Node,
-    /// Outgoing links as indices into [`Website::pages`].
-    pub links: Vec<usize>,
-}
-
-/// A website: a graph of pages rooted at page 0.
-#[derive(Debug, Clone, Default)]
-pub struct Website {
-    /// All pages; index 0 is the root.
-    pub pages: Vec<SitePage>,
-}
-
-/// A link whose endpoints do not both exist in the site graph.
-///
-/// Hostile or half-built site graphs produce these; they are reported as
-/// values rather than panics so graph construction degrades (the bad edge
-/// is dropped) instead of aborting the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkError {
-    /// Source page index of the rejected edge.
-    pub from: usize,
-    /// Target page index of the rejected edge.
-    pub to: usize,
-    /// Number of pages in the site at the time of the attempt.
-    pub pages: usize,
-}
-
-impl std::fmt::Display for LinkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "link {} -> {} is outside the site graph ({} pages)",
-            self.from, self.to, self.pages
-        )
-    }
-}
-
-impl std::error::Error for LinkError {}
-
-impl Website {
-    /// Adds a page and returns its index.
-    pub fn add_page(&mut self, url: &str, dom: Node) -> usize {
-        self.pages.push(SitePage { url: url.to_string(), dom, links: Vec::new() });
-        self.pages.len() - 1
-    }
-
-    /// Adds a directed link between pages. An edge whose endpoints do not
-    /// both exist is rejected with a [`LinkError`] — never a panic — so a
-    /// hostile graph loses the edge, not the process.
-    pub fn link(&mut self, from: usize, to: usize) -> Result<(), LinkError> {
-        if from >= self.pages.len() || to >= self.pages.len() {
-            return Err(LinkError { from, to, pages: self.pages.len() });
-        }
-        self.pages[from].links.push(to);
-        Ok(())
-    }
-}
-
-/// Crawler configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrawlConfig {
-    /// Stop after collecting this many content-rich pages.
-    pub max_content_pages: usize,
-    /// Hard limit on visited pages (crawl frontier safety).
-    pub max_visited: usize,
-}
-
-impl Default for CrawlConfig {
-    fn default() -> Self {
-        CrawlConfig { max_content_pages: 2000, max_visited: 100_000 }
-    }
-}
-
-/// Result of a crawl.
-#[derive(Debug, Clone, Default)]
-pub struct CrawlResult {
-    /// Indices of collected content-rich pages, in crawl order.
-    pub content_pages: Vec<usize>,
-    /// Number of pages visited in total.
-    pub visited: usize,
-    /// Number of pages skipped as index pages.
-    pub skipped_index: usize,
-    /// Number of pages skipped as media pages.
-    pub skipped_media: usize,
-    /// Number of link edges dropped because their target index was outside
-    /// the site graph (hostile graphs constructed through the public
-    /// fields can carry these).
-    pub dangling_links: usize,
-}
-
-/// One visited page yielded by [`CrawlStream`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrawlStep {
-    /// Index of the page in [`Website::pages`].
-    pub index: usize,
-    /// How the structure-driven filter classified it.
-    pub kind: PageKind,
-}
-
-/// The incremental breadth-first crawler: yields one visited page per
-/// `next()`, in the exact order [`crawl`] visits them, and stops when the
-/// frontier empties or a [`CrawlConfig`] budget is hit. Out-of-range link
-/// targets are dropped and counted ([`CrawlStream::dangling_links`])
-/// instead of panicking.
-pub struct CrawlStream<'a> {
-    site: &'a Website,
-    cfg: CrawlConfig,
-    queue: VecDeque<usize>,
-    seen: Vec<bool>,
-    content_found: usize,
-    visited: usize,
-    dangling: usize,
-}
-
-impl<'a> CrawlStream<'a> {
-    /// Starts a crawl at page 0.
-    pub fn new(site: &'a Website, cfg: CrawlConfig) -> CrawlStream<'a> {
-        let mut queue = VecDeque::new();
-        let mut seen = vec![false; site.pages.len()];
-        if !site.pages.is_empty() {
-            queue.push_back(0);
-            seen[0] = true;
-        }
-        CrawlStream { site, cfg, queue, seen, content_found: 0, visited: 0, dangling: 0 }
-    }
-
-    /// Pages visited so far.
-    pub fn visited(&self) -> usize {
-        self.visited
-    }
-
-    /// Link edges dropped so far because their target was out of range.
-    pub fn dangling_links(&self) -> usize {
-        self.dangling
-    }
-}
-
-impl Iterator for CrawlStream<'_> {
-    type Item = CrawlStep;
-
-    fn next(&mut self) -> Option<CrawlStep> {
-        if self.visited >= self.cfg.max_visited
-            || self.content_found >= self.cfg.max_content_pages
-        {
-            return None;
-        }
-        let idx = self.queue.pop_front()?;
-        self.visited += 1;
-        let page = &self.site.pages[idx];
-        let kind = classify_page(&page.dom);
-        if kind == PageKind::ContentRich {
-            self.content_found += 1;
-        }
-        for &next in &page.links {
-            if next >= self.site.pages.len() {
-                self.dangling += 1;
-            } else if !self.seen[next] {
-                self.seen[next] = true;
-                self.queue.push_back(next);
-            }
-        }
-        Some(CrawlStep { index: idx, kind })
-    }
-}
-
-/// Breadth-first structure-driven crawl from the root page, keeping only
-/// content-rich pages. Eager wrapper over [`CrawlStream`].
-pub fn crawl(site: &Website, cfg: CrawlConfig) -> CrawlResult {
-    let mut stream = CrawlStream::new(site, cfg);
-    let mut result = CrawlResult::default();
-    for step in &mut stream {
-        match step.kind {
-            PageKind::ContentRich => result.content_pages.push(step.index),
-            PageKind::Index => result.skipped_index += 1,
-            PageKind::Media => result.skipped_media += 1,
-        }
-    }
-    result.visited = stream.visited();
-    result.dangling_links = stream.dangling_links();
-    result
-}
 
 /// Collects a document's site-relative link targets (`<a href="/...">`) in
-/// document order — the URL frontier a file- or network-backed crawler
-/// follows. External (`http://…`), fragment and empty hrefs are skipped;
-/// duplicates are kept (the crawler's seen-set deduplicates).
+/// document order — the URL frontier the crawler follows. External
+/// (`http://…`), fragment and empty hrefs are skipped; duplicates are kept
+/// (the crawler's seen-set deduplicates).
 pub fn link_urls(root: &Node) -> Vec<String> {
     let mut out = Vec::new();
     collect_links(root, &mut out);
@@ -228,123 +33,6 @@ fn collect_links(node: &Node, out: &mut Vec<String>) {
 mod tests {
     use super::*;
     use crate::parse::parse_document;
-
-    fn content_page(i: usize) -> Node {
-        let paras: String = (0..8)
-            .map(|p| {
-                format!("<p>page {i} paragraph {p} with plenty of running words inside</p>")
-            })
-            .collect();
-        parse_document(&format!("<body>{paras}</body>")).unwrap()
-    }
-
-    fn index_page() -> Node {
-        let links: String = (0..40).map(|i| format!("<a>l{i}</a>")).collect();
-        parse_document(&format!("<body>{links}</body>")).unwrap()
-    }
-
-    #[test]
-    fn crawl_collects_content_skips_index() {
-        let mut site = Website::default();
-        let root = site.add_page("/", index_page());
-        let a = site.add_page("/a", content_page(1));
-        let b = site.add_page("/b", content_page(2));
-        site.link(root, a).unwrap();
-        site.link(root, b).unwrap();
-        let r = crawl(&site, CrawlConfig::default());
-        assert_eq!(r.content_pages, vec![a, b]);
-        assert_eq!(r.skipped_index, 1);
-        assert_eq!(r.visited, 3);
-    }
-
-    #[test]
-    fn crawl_respects_page_budget() {
-        let mut site = Website::default();
-        let root = site.add_page("/", content_page(0));
-        for i in 1..10 {
-            let p = site.add_page(&format!("/{i}"), content_page(i));
-            site.link(root, p).unwrap();
-        }
-        let r = crawl(&site, CrawlConfig { max_content_pages: 3, max_visited: 100 });
-        assert_eq!(r.content_pages.len(), 3);
-    }
-
-    #[test]
-    fn crawl_handles_cycles() {
-        let mut site = Website::default();
-        let a = site.add_page("/", content_page(0));
-        let b = site.add_page("/b", content_page(1));
-        site.link(a, b).unwrap();
-        site.link(b, a).unwrap();
-        let r = crawl(&site, CrawlConfig::default());
-        assert_eq!(r.visited, 2);
-    }
-
-    #[test]
-    fn crawl_of_empty_site() {
-        let r = crawl(&Website::default(), CrawlConfig::default());
-        assert_eq!(r.visited, 0);
-        assert!(r.content_pages.is_empty());
-    }
-
-    #[test]
-    fn bad_link_is_an_error_not_a_panic() {
-        let mut site = Website::default();
-        let a = site.add_page("/", content_page(0));
-        let err = site.link(a, 7).unwrap_err();
-        assert_eq!(err, LinkError { from: a, to: 7, pages: 1 });
-        assert!(err.to_string().contains("outside the site graph"), "{err}");
-        assert!(site.pages[a].links.is_empty(), "rejected edge must not be recorded");
-    }
-
-    #[test]
-    fn crawl_survives_dangling_links_in_a_hostile_graph() {
-        let mut site = Website::default();
-        let a = site.add_page("/", content_page(0));
-        let b = site.add_page("/b", content_page(1));
-        site.link(a, b).unwrap();
-        // A hostile graph built through the public fields: targets far out
-        // of range must be dropped and counted, not crash the crawl.
-        site.pages[a].links.push(999);
-        site.pages[b].links.push(usize::MAX);
-        let r = crawl(&site, CrawlConfig::default());
-        assert_eq!(r.visited, 2);
-        assert_eq!(r.dangling_links, 2);
-        assert_eq!(r.content_pages.len(), 2);
-    }
-
-    #[test]
-    fn crawl_stream_matches_eager_crawl() {
-        let mut site = Website::default();
-        let root = site.add_page("/", index_page());
-        for i in 0..6 {
-            let p = site.add_page(&format!("/p{i}"), content_page(i));
-            site.link(root, p).unwrap();
-            if i > 0 {
-                site.link(p, p - 1).unwrap();
-            }
-        }
-        let eager = crawl(&site, CrawlConfig::default());
-        let stream: Vec<usize> = CrawlStream::new(&site, CrawlConfig::default())
-            .filter(|s| s.kind == crate::render::PageKind::ContentRich)
-            .map(|s| s.index)
-            .collect();
-        assert_eq!(stream, eager.content_pages, "incremental order must match eager order");
-    }
-
-    #[test]
-    fn crawl_stream_is_pull_based() {
-        let mut site = Website::default();
-        let root = site.add_page("/", content_page(0));
-        for i in 1..50 {
-            let p = site.add_page(&format!("/{i}"), content_page(i));
-            site.link(root, p).unwrap();
-        }
-        let mut stream = CrawlStream::new(&site, CrawlConfig::default());
-        assert_eq!(stream.visited(), 0, "nothing visited before the first pull");
-        let _ = stream.next();
-        assert_eq!(stream.visited(), 1, "one pull visits exactly one page");
-    }
 
     #[test]
     fn link_urls_keeps_site_relative_hrefs_in_document_order() {

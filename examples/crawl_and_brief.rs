@@ -1,52 +1,27 @@
 //! Crawl a synthetic website with the structure-driven crawler (the
 //! dataset-construction pipeline of §IV-A1: skip index/media pages, keep
-//! content-rich pages) and brief every collected page.
+//! content-rich pages) and brief every collected page — the same
+//! `crawl_brief` run that `wb crawl-brief` makes.
 //!
 //! Run with: `cargo run --release --example crawl_and_brief`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use webpage_briefing::corpus::{generate_page, PageConfig};
-use webpage_briefing::html::{crawl, CrawlConfig, Node, Tag, Website};
+use webpage_briefing::core::{crawl_brief, PipelineConfig};
+use webpage_briefing::corpus::{export_site, generate_site, SiteScenario, SiteSpecConfig};
 use webpage_briefing::prelude::*;
-
-fn index_page(links: usize) -> Node {
-    let anchors: Vec<Node> =
-        (0..links).map(|i| Node::elem(Tag::A, vec![Node::text(format!("page {i}"))])).collect();
-    Node::elem(Tag::Body, vec![Node::elem(Tag::Ul, anchors)])
-}
 
 fn main() {
     let dataset = Dataset::generate(&DatasetConfig::tiny());
 
-    // Assemble a website: an index root linking to content-rich pages from
-    // one topic, plus a media page the crawler must skip.
+    // Export a website to disk: an index root linking into five
+    // content-rich pages of one topic, which chain onwards to each other.
     let topic = dataset.taxonomy.topics()[0].clone();
     let mut rng = StdRng::seed_from_u64(99);
-    let mut site = Website::default();
-    let root = site.add_page("/", index_page(30));
-    let media = site.add_page(
-        "/gallery",
-        Node::elem(Tag::Body, (0..12).map(|_| Node::elem(Tag::Video, vec![])).collect()),
-    );
-    site.link(root, media).expect("link media page");
-    let mut content_pages = Vec::new();
-    for i in 0..5 {
-        let page = generate_page(&topic, PageConfig::default(), &mut rng);
-        let idx = site.add_page(&format!("/item/{i}"), page.dom.clone());
-        site.link(root, idx).expect("link content page");
-        content_pages.push(page);
-    }
-
-    let result = crawl(&site, CrawlConfig::default());
-    println!(
-        "Crawled {} pages: {} content-rich, {} index skipped, {} media skipped",
-        result.visited,
-        result.content_pages.len(),
-        result.skipped_index,
-        result.skipped_media
-    );
-    assert_eq!(result.content_pages.len(), 5);
+    let spec = SiteSpecConfig { pages: 5, scenario: SiteScenario::Clean, ..Default::default() };
+    let dir = std::env::temp_dir().join("wb_crawl_and_brief");
+    let _ = std::fs::remove_dir_all(&dir);
+    export_site(dir.join("site"), &generate_site(&topic, spec, &mut rng)).expect("export site");
 
     println!("Training a briefer…");
     let mut cfg = TrainConfig::scaled(40);
@@ -54,15 +29,34 @@ fn main() {
     cfg.decay = 0.98;
     let briefer = Briefer::train(&dataset, cfg, 7);
 
-    for &page_idx in result.content_pages.iter().take(2) {
-        let html = site.pages[page_idx].dom.to_html();
-        match briefer.brief_html(&html) {
-            Ok(brief) => {
-                println!("\n--- {} ---", site.pages[page_idx].url);
-                print!("{}", brief.render());
-            }
-            Err(e) => println!("could not brief {}: {e}", site.pages[page_idx].url),
-        }
+    let pipeline = PipelineConfig {
+        site_dir: dir.join("site"),
+        out_path: dir.join("briefs.jsonl"),
+        dead_letter_path: dir.join("briefs.dead.jsonl"),
+        journal_path: dir.join("briefs.journal"),
+        snapshot_path: dir.join("briefs.snapshot"),
+        ..Default::default()
+    };
+    let report = crawl_brief(&briefer, &pipeline).expect("crawl-brief run");
+    println!(
+        "Crawled {} pages: {} briefed, {} index skipped, {} media skipped, {} quarantined",
+        report.visited,
+        report.briefed,
+        report.skipped_index,
+        report.skipped_media,
+        report.quarantined
+    );
+    assert_eq!(report.briefed, 5);
+
+    let out = std::fs::read_to_string(&pipeline.out_path).expect("read briefs");
+    for line in out.lines().take(2) {
+        let v: serde_json::Value = serde_json::from_str(line).expect("valid JSONL");
+        let url = v.get("url").and_then(|u| u.as_str()).expect("url");
+        let brief = serde_json::to_string(v.get("brief").expect("brief")).unwrap();
+        let brief: Brief = serde_json::from_str(&brief).expect("brief");
+        println!("\n--- {url} ---");
+        print!("{}", brief.render());
     }
-    println!("\nGround truth topic for this site: {}", topic.phrase_text());
+    println!("\nAll briefs: {}", pipeline.out_path.display());
+    println!("Ground truth topic for this site: {}", topic.phrase_text());
 }

@@ -1,8 +1,11 @@
 //! End-to-end pipeline integration tests: synthetic website → crawler →
 //! rendering → normalisation → tokenisation → model → hierarchical brief.
 
-use webpage_briefing::corpus::{generate_page, PageConfig};
-use webpage_briefing::html::{classify_page, crawl, CrawlConfig, PageKind, Website};
+use webpage_briefing::core::{crawl_brief, PipelineConfig};
+use webpage_briefing::corpus::{
+    export_site, generate_page, generate_site, PageConfig, SiteScenario, SiteSpecConfig,
+};
+use webpage_briefing::html::{classify_page, PageKind};
 use webpage_briefing::prelude::*;
 
 fn tiny_dataset() -> Dataset {
@@ -31,17 +34,10 @@ fn crawler_feeds_briefer_compatible_pages() {
     let d = tiny_dataset();
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let topic = &d.taxonomy.topics()[1];
-    let mut site = Website::default();
-    let root = site.add_page("/", generate_page(topic, PageConfig::default(), &mut rng).dom);
-    for i in 0..3 {
-        let p = site.add_page(
-            &format!("/{i}"),
-            generate_page(topic, PageConfig::default(), &mut rng).dom,
-        );
-        site.link(root, p).unwrap();
-    }
-    let result = crawl(&site, CrawlConfig::default());
-    assert_eq!(result.content_pages.len(), 4);
+    let spec = SiteSpecConfig { pages: 4, scenario: SiteScenario::Clean, ..Default::default() };
+    let dir = std::env::temp_dir().join("wb_pipeline_crawler_feeds_briefer");
+    let _ = std::fs::remove_dir_all(&dir);
+    export_site(dir.join("site"), &generate_site(topic, spec, &mut rng)).unwrap();
 
     // An untrained model must still produce structurally valid briefs for
     // every crawled page.
@@ -50,11 +46,25 @@ fn crawler_feeds_briefer_compatible_pages() {
         JointModel::new(JointVariant::JointWb, cfg, 0),
         d.tokenizer.clone(),
     );
-    for &p in &result.content_pages {
-        let brief =
-            briefer.brief_html(&site.pages[p].dom.to_html()).expect("brief crawled page");
-        assert!(brief.topic.split(' ').count() <= cfg.max_topic_len);
+    let pipeline = PipelineConfig {
+        site_dir: dir.join("site"),
+        out_path: dir.join("briefs.jsonl"),
+        dead_letter_path: dir.join("briefs.dead.jsonl"),
+        journal_path: dir.join("briefs.journal"),
+        snapshot_path: dir.join("briefs.snapshot"),
+        ..Default::default()
+    };
+    let report = crawl_brief(&briefer, &pipeline).expect("crawl-brief run");
+    assert_eq!((report.briefed, report.skipped_index, report.quarantined), (4, 1, 0));
+    let out = std::fs::read_to_string(&pipeline.out_path).unwrap();
+    assert_eq!(out.lines().count(), 4);
+    for line in out.lines() {
+        let v: serde_json::Value = serde_json::from_str(line).expect("valid JSONL");
+        let topic = v.get("brief").and_then(|b| b.get("topic")).and_then(|t| t.as_str());
+        let topic = topic.expect("every line carries a brief topic");
+        assert!(topic.split(' ').count() <= cfg.max_topic_len, "{topic:?}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
